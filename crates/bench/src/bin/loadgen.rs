@@ -3,19 +3,15 @@
 //! Two modes:
 //!
 //! - **Sweep** (default, no `--addr`): starts in-process servers at
-//!   shard counts 1/2/4/8 — each count once per execution backend
-//!   (scalar and sliced) — plus a deliberate overload point, drives
+//!   shard counts 1/2/4/8 plus a deliberate overload point, drives
 //!   each over real TCP, prints the table, and writes
-//!   `BENCH_server.json` with `--json`; every row carries a `backend`
-//!   column that is part of its identity in the `regress` gate.
-//!   `--backend scalar|sliced` restricts the sweep to one backend's
-//!   rows. This is the source of the committed benchmark.
+//!   `BENCH_server.json` with `--json`. This is the source of the
+//!   committed benchmark.
 //! - **Targeted** (`--addr <host:port>`): drives an external server
 //!   (see the `serve` binary) with one open-loop load run and reports
 //!   delivered throughput, latency quantiles, shed and stall rates.
-//!   `--backend` here only annotates the report row with the backend
-//!   the target server was started with. Exits nonzero on any
-//!   transport/protocol error or silent drop — the CI smoke gate.
+//!   Exits nonzero on any transport/protocol error or silent drop —
+//!   the CI smoke gate.
 //! - **Observability** (`--obs`): the tracing-overhead and
 //!   critical-path benchmark behind `BENCH_obs.json` — one run with
 //!   tracing fully off versus one at the default rates, then a
@@ -48,9 +44,7 @@
 //!       --ops 64 --mix mixed --rate 500000 --trace-every 8 \
 //!       --retries 5 --tear-every 7 --deadline-us 100000
 //!
-//! Flags (targeted mode): `--backend scalar|sliced` (annotate the
-//! report row; sweep mode uses it as a filter instead),
-//! `--connections <n>` (default 16),
+//! Flags (targeted mode): `--connections <n>` (default 16),
 //! `--requests <n>` per connection (default 150), `--ops <n>` per
 //! request (default 64), `--n <bits>` (default 32), `--mix
 //! uniform|biased|adversarial|mixed` (default mixed), `--rate <ops/s>`
@@ -75,7 +69,7 @@ use vlsa_bench::serverbench::{
     run_load, run_obs_bench, run_sweep, sample_at_quantile, standard_sweep, LoadConfig, Mix,
 };
 use vlsa_bench::slobench::{checks_pass, run_slo_bench};
-use vlsa_server::{Backend, RetryPolicy};
+use vlsa_server::RetryPolicy;
 use vlsa_telemetry::Json;
 
 fn main() -> ExitCode {
@@ -86,7 +80,6 @@ fn main() -> ExitCode {
     let (args, requests) = split(args, "requests");
     let (args, ops) = split(args, "ops");
     let (args, nbits) = split(args, "n");
-    let (args, backend) = split(args, "backend");
     let (args, mix) = split(args, "mix");
     let (args, rate) = split(args, "rate");
     let (args, seed) = split(args, "seed");
@@ -146,18 +139,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let backend =
-        backend.map(|v| parse_arg::<Backend>("--backend", &v).unwrap_or_else(|e| e.exit()));
-
     let Some(addr) = addr else {
-        // Sweep mode: the committed BENCH_server.json. With --backend,
-        // only that backend's rows run (CI smokes each one cheaply);
-        // the committed report always comes from the full sweep.
-        let mut points = standard_sweep();
-        if let Some(backend) = backend {
-            points.retain(|p| p.backend == backend);
-        }
-        let report = run_sweep(&points).unwrap_or_else(|e| {
+        // Sweep mode: the committed BENCH_server.json.
+        let report = run_sweep(&standard_sweep()).unwrap_or_else(|e| {
             eprintln!("error: sweep failed: {e}");
             std::process::exit(1);
         });
@@ -227,16 +211,18 @@ fn main() -> ExitCode {
             result.retried, result.retried_successfully, result.hedged, result.torn,
         );
     }
-    let server_q =
+    // The server total of the traced sample at the client-RTT
+    // quantile, not a quantile of server time.
+    let rtt_q_sample_server =
         |p: f64| sample_at_quantile(&result.traced, p).map_or(0, |s| s.timing.total_us());
     if !result.traced.is_empty() {
         println!(
-            "traced {} requests | server-side p50 {} us p99 {} us p999 {} us | \
-             network at p99 {} us",
+            "traced {} requests | server total of the sample at rtt p50 {} us p99 {} us \
+             p999 {} us | network at p99 {} us",
             result.traced.len(),
-            server_q(0.50),
-            server_q(0.99),
-            server_q(0.999),
+            rtt_q_sample_server(0.50),
+            rtt_q_sample_server(0.99),
+            rtt_q_sample_server(0.999),
             sample_at_quantile(&result.traced, 0.99).map_or(0, |s| s.network_us()),
         );
     }
@@ -245,7 +231,6 @@ fn main() -> ExitCode {
     report.set("addr", addr.to_string());
     report.push_row(
         Json::obj()
-            .set("backend", backend.unwrap_or_default().as_str())
             .set("connections", config.connections as u64)
             .set("mix", config.mix.to_string())
             .set("target_ops_s", config.target_ops_per_sec)
@@ -255,9 +240,9 @@ fn main() -> ExitCode {
             .set("p99_us", q(0.99))
             .set("p999_us", q(0.999))
             .set("traced", result.traced.len() as u64)
-            .set("server_p50_us", server_q(0.50))
-            .set("server_p99_us", server_q(0.99))
-            .set("server_p999_us", server_q(0.999))
+            .set("rtt_q_sample_server_p50_us", rtt_q_sample_server(0.50))
+            .set("rtt_q_sample_server_p99_us", rtt_q_sample_server(0.99))
+            .set("rtt_q_sample_server_p999_us", rtt_q_sample_server(0.999))
             .set("answered", result.answered)
             .set("shed", result.shed)
             .set("shed_rate", result.shed_rate())

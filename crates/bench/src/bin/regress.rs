@@ -7,10 +7,8 @@
 //!       --baseline BENCH_server.json --candidate fresh.json \
 //!       [--ops-floor 0.10] [--p999-floor 0.20] [--json verdict.json]
 //!
-//! Rows are matched by `(label, shards, backend)` — rows without a
-//! `backend` field read as `scalar` — so the scalar and sliced
-//! execution backends are gated independently; `throughput_ops_s`
-//! (lower is worse) and `p999_us` (higher is worse) are gated against
+//! Rows are matched by `(label, shards)`; `throughput_ops_s` (lower is
+//! worse) and `p999_us` (higher is worse) are gated against
 //! `max(floor, 3 × improving-side noise)` — see
 //! `vlsa_bench::regress` for the noise model. Exit codes: `0` pass,
 //! `1` statistically significant regression (or lost row coverage),
@@ -68,14 +66,13 @@ fn main() {
     });
 
     println!(
-        "{:>9} {:>7} | {:>6} | {:>16} | {:>12} {:>12} | {:>8} {:>9} | verdict",
-        "label", "backend", "shards", "metric", "baseline", "candidate", "delta", "threshold"
+        "{:>9} | {:>6} | {:>16} | {:>12} {:>12} | {:>8} {:>9} | verdict",
+        "label", "shards", "metric", "baseline", "candidate", "delta", "threshold"
     );
     for c in &outcome.checks {
         println!(
-            "{:>9} {:>7} | {:>6} | {:>16} | {:>12.0} {:>12.0} | {:>+7.1}% {:>8.1}% | {}",
+            "{:>9} | {:>6} | {:>16} | {:>12.0} {:>12.0} | {:>+7.1}% {:>8.1}% | {}",
             c.label,
-            c.backend,
             c.shards,
             c.metric,
             c.baseline,

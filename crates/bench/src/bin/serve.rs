@@ -7,10 +7,8 @@
 //!       --addr-file server.addr --metrics --metrics-addr-file m.addr
 //!
 //! Flags: `--addr <host:port>` (default ephemeral), `--shards <n>`
-//! (default 4), `--n <bits>` (default 64), `--backend scalar|sliced`
-//! (execution backend per shard, default scalar; results are
-//! bit-identical either way — only throughput differs), `--cycle-ns
-//! <ns>` (modeled device time per pipeline cycle, default 3000),
+//! (default 4), `--n <bits>` (default 64), `--cycle-ns <ns>` (modeled
+//! device time per pipeline cycle, default 3000),
 //! `--serve-secs <s>`
 //! (default 30), `--trace-every <n>` (self-sample every nth untraced
 //! request into the trace rings; default 64, `0` disables
@@ -37,7 +35,7 @@ use vlsa_bench::report::{parse_arg, split_value_flag, ArgError};
 use vlsa_bench::serverbench::SWEEP_CYCLE_NS;
 use vlsa_chaos::{ChaosInjector, FaultPlan};
 use vlsa_monitor::write_addr_file;
-use vlsa_server::{Backend, EventLogConfig, ObsConfig, ServerConfig, ShardConfig, VlsaServer};
+use vlsa_server::{EventLogConfig, ObsConfig, ServerConfig, ShardConfig, VlsaServer};
 use vlsa_slo::Objectives;
 use vlsa_telemetry::ScopedRecorder;
 
@@ -47,7 +45,6 @@ fn main() {
     let (args, addr) = split(args, "addr");
     let (args, shards) = split(args, "shards");
     let (args, nbits) = split(args, "n");
-    let (args, backend) = split(args, "backend");
     let (args, cycle_ns) = split(args, "cycle-ns");
     let (args, serve_secs) = split(args, "serve-secs");
     let (args, trace_every) = split(args, "trace-every");
@@ -75,9 +72,6 @@ fn main() {
     };
     let shards = parsed("--shards", shards, 4u64) as usize;
     let nbits = parsed("--n", nbits, 64u64) as usize;
-    let backend = backend.map_or(Backend::Scalar, |v| {
-        parse_arg("--backend", &v).unwrap_or_else(|e| e.exit())
-    });
     let cycle_ns = parsed("--cycle-ns", cycle_ns, SWEEP_CYCLE_NS);
     let serve_secs = parsed("--serve-secs", serve_secs, 30u64);
     let sample_every = parsed(
@@ -117,7 +111,6 @@ fn main() {
             nbits,
             cycle_ns,
             queue_capacity,
-            backend,
             ..ShardConfig::default()
         },
         metrics: metrics_flag,
@@ -139,9 +132,8 @@ fn main() {
     });
 
     println!(
-        "serving vlsa://{} with {shards} shard(s), {nbits}-bit, {cycle_ns} ns/cycle, {} backend",
-        server.addr(),
-        backend.as_str()
+        "serving vlsa://{} with {shards} shard(s), {nbits}-bit, {cycle_ns} ns/cycle",
+        server.addr()
     );
     if let Some(plan) = &chaos_plan {
         println!("chaos armed: {plan}");

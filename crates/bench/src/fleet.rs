@@ -571,27 +571,27 @@ mod tests {
     }
 
     #[test]
-    fn build_info_backend_labels_survive_fleet_aggregation() {
+    fn build_info_labels_survive_fleet_aggregation() {
         use vlsa_telemetry::names::labeled_multi;
 
-        // Two member processes running different execution backends.
-        // Their `build_info` gauges differ only in the `backend` label,
+        // Two member processes serving different speculation windows.
+        // Their `build_info` gauges differ only in the `window` label,
         // so the merge must keep them as distinct series: an operator
-        // at the fleet view can tell which members run which backend.
-        let member = |backend: &str| {
+        // at the fleet view can tell which members run which window.
+        let member = |window: &str| {
             let r = Registry::new();
             r.gauge(&labeled_multi(
                 server::BUILD_INFO,
-                &[("version", "0.1.0"), ("backend", backend)],
+                &[("version", "0.1.0"), ("window", window)],
             ))
             .set(1.0);
             r.snapshot()
         };
         let fleet = Registry::new();
-        fleet.merge_snapshot(&member("scalar")).expect("merge");
-        fleet.merge_snapshot(&member("sliced")).expect("merge");
+        fleet.merge_snapshot(&member("16")).expect("merge");
+        fleet.merge_snapshot(&member("24")).expect("merge");
 
-        let backends: Vec<String> = fleet
+        let mut windows: Vec<String> = fleet
             .gauges()
             .into_iter()
             .filter(|(name, _)| split_labels(name).0 == server::BUILD_INFO)
@@ -600,13 +600,12 @@ mod tests {
                 split_labels(&name)
                     .1
                     .iter()
-                    .find(|(k, _)| *k == "backend")
+                    .find(|(k, _)| *k == "window")
                     .map(|(_, v)| (*v).to_string())
             })
             .collect();
-        let mut backends = backends;
-        backends.sort();
-        assert_eq!(backends, ["scalar", "sliced"]);
+        windows.sort();
+        assert_eq!(windows, ["16", "24"]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! | `summary`      | §5 headline ratios |
 //! | `crypto_attack`| §1 ciphertext-only attack demo |
 
-pub mod batchbench;
 pub mod chaosbench;
 pub mod fleet;
 pub mod metrics;

@@ -2,9 +2,7 @@
 //! and decide — with a noise model, not a vibe — whether the candidate
 //! run regressed.
 //!
-//! Rows are matched across the two reports by `(label, shards,
-//! backend)` — a row missing a `backend` field reads as `"scalar"`, so
-//! reports from before the backend axis existed stay comparable. Two
+//! Rows are matched across the two reports by `(label, shards)`. Two
 //! metrics are gated per row, one per direction of badness:
 //!
 //! - `throughput_ops_s` — lower is worse,
@@ -62,8 +60,6 @@ pub struct Check {
     pub label: String,
     /// The row's `shards` field.
     pub shards: u64,
-    /// The row's `backend` field (`"scalar"` when absent).
-    pub backend: String,
     /// Metric name (`throughput_ops_s` or `p999_us`).
     pub metric: &'static str,
     /// The baseline value.
@@ -84,8 +80,8 @@ pub struct Check {
 pub struct GateOutcome {
     /// Every metric comparison, in report order.
     pub checks: Vec<Check>,
-    /// `(label, shards, backend)` keys present in the baseline but
-    /// absent from the candidate — lost coverage, fails the gate.
+    /// `(label, shards)` keys present in the baseline but absent from
+    /// the candidate — lost coverage, fails the gate.
     pub missing: Vec<String>,
     /// The estimated noise floor per metric, `(ops, p999)`.
     pub noise: (f64, f64),
@@ -110,7 +106,6 @@ impl GateOutcome {
                 Json::obj()
                     .set("label", c.label.as_str())
                     .set("shards", c.shards)
-                    .set("backend", c.backend.as_str())
                     .set("metric", c.metric)
                     .set("baseline", c.baseline)
                     .set("candidate", c.candidate)
@@ -149,7 +144,6 @@ struct RowMetrics {
     key: String,
     label: String,
     shards: u64,
-    backend: String,
     ops: f64,
     p999: f64,
 }
@@ -167,11 +161,6 @@ fn rows_of(doc: &Json, which: &str) -> Result<Vec<RowMetrics>, GateError> {
             .ok_or_else(|| GateError::Shape(format!("{which}: row {i} has no `label`")))?
             .to_string();
         let shards = row.get("shards").and_then(Json::as_u64).unwrap_or(0);
-        let backend = row
-            .get("backend")
-            .and_then(Json::as_str)
-            .unwrap_or("scalar")
-            .to_string();
         let metric = |name: &str| {
             row.get(name).and_then(Json::as_f64).ok_or_else(|| {
                 GateError::Shape(format!("{which}: row `{label}` has no numeric `{name}`"))
@@ -180,10 +169,9 @@ fn rows_of(doc: &Json, which: &str) -> Result<Vec<RowMetrics>, GateError> {
         let ops = metric("throughput_ops_s")?;
         let p999 = metric("p999_us")?;
         out.push(RowMetrics {
-            key: format!("{label}/shards={shards}/backend={backend}"),
+            key: format!("{label}/shards={shards}"),
             label,
             shards,
-            backend,
             ops,
             p999,
         });
@@ -266,7 +254,6 @@ pub fn compare_reports(
         checks.push(Check {
             label: b.label.clone(),
             shards: b.shards,
-            backend: b.backend.clone(),
             metric: "throughput_ops_s",
             baseline: b.ops,
             candidate: c.ops,
@@ -277,7 +264,6 @@ pub fn compare_reports(
         checks.push(Check {
             label: b.label.clone(),
             shards: b.shards,
-            backend: b.backend.clone(),
             metric: "p999_us",
             baseline: b.p999,
             candidate: c.p999,
@@ -409,52 +395,7 @@ mod tests {
         let cand = report(&[("nominal", 1, 100_000.0, 40_000.0)]);
         let outcome = compare_reports(&base, &cand, &GateConfig::default()).expect("well-formed");
         assert!(outcome.failed());
-        assert_eq!(outcome.missing, ["burst/shards=4/backend=scalar"]);
-    }
-
-    #[test]
-    fn backend_is_part_of_row_identity() {
-        let with_backend = |backend: &str, ops: f64| {
-            Json::obj()
-                .set("label", "nominal")
-                .set("shards", 4u64)
-                .set("backend", backend)
-                .set("throughput_ops_s", ops)
-                .set("p999_us", 20_000.0)
-        };
-        let wrap = |rows: Vec<Json>| {
-            Json::obj()
-                .set("report", "server")
-                .set("schema", 1u64)
-                .set("rows", Json::Arr(rows))
-        };
-        // Same (label, shards) twice, distinguished only by backend.
-        let base = wrap(vec![
-            with_backend("scalar", 100_000.0),
-            with_backend("sliced", 900_000.0),
-        ]);
-        // The sliced row regressed 40%; the scalar row is steady. The
-        // gate must blame exactly the sliced row, not average them.
-        let cand = wrap(vec![
-            with_backend("scalar", 101_000.0),
-            with_backend("sliced", 540_000.0),
-        ]);
-        let outcome = compare_reports(&base, &cand, &GateConfig::default()).expect("well-formed");
-        assert!(outcome.failed());
-        let blamed: Vec<&str> = outcome
-            .regressions()
-            .iter()
-            .map(|c| c.backend.as_str())
-            .collect();
-        assert_eq!(blamed, ["sliced"]);
-
-        // A candidate that silently dropped the sliced rows is lost
-        // coverage, not a pass.
-        let scalar_only = wrap(vec![with_backend("scalar", 101_000.0)]);
-        let outcome =
-            compare_reports(&base, &scalar_only, &GateConfig::default()).expect("well-formed");
-        assert!(outcome.failed());
-        assert_eq!(outcome.missing, ["nominal/shards=4/backend=sliced"]);
+        assert_eq!(outcome.missing, ["burst/shards=4"]);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vlsa_pipeline::{adversarial_operands, biased_operands, random_operands};
 use vlsa_server::{
-    AddBatch, Backend, ObsConfig, Outcome, Response, RetryClient, RetryPolicy, ServerConfig,
-    ServerTiming, ShardConfig, TraceContext, VlsaClient, VlsaServer,
+    AddBatch, ObsConfig, Outcome, Response, RetryClient, RetryPolicy, ServerConfig, ServerTiming,
+    ShardConfig, TraceContext, VlsaClient, VlsaServer,
 };
 use vlsa_telemetry::{Histogram, Json};
 
@@ -453,10 +453,6 @@ pub struct SweepPoint {
     pub queue_capacity: usize,
     /// Row label in the report (`"nominal"` / `"overload"`).
     pub label: &'static str,
-    /// Execution backend for every shard in this row. Part of the row's
-    /// identity in the regression gate: scalar and sliced rows are
-    /// tracked (and gated) independently.
-    pub backend: Backend,
     /// Load to offer.
     pub load: LoadConfig,
 }
@@ -478,23 +474,17 @@ pub fn standard_sweep() -> Vec<SweepPoint> {
     };
     let mut points: Vec<SweepPoint> = [1usize, 2, 4, 8]
         .into_iter()
-        .flat_map(|shards| {
-            // Both backends at every nominal shard count: the sweep's
-            // scaling story must hold whichever executor serves it.
-            [Backend::Scalar, Backend::Sliced].map(|backend| SweepPoint {
-                shards,
-                queue_capacity: 64,
-                label: "nominal",
-                backend,
-                load: traced.clone(),
-            })
+        .map(|shards| SweepPoint {
+            shards,
+            queue_capacity: 64,
+            label: "nominal",
+            load: traced.clone(),
         })
         .collect();
     points.push(SweepPoint {
         shards: 2,
         queue_capacity: 2,
         label: "overload",
-        backend: Backend::Scalar,
         load: LoadConfig {
             connections: 32,
             requests_per_conn: 60,
@@ -517,7 +507,6 @@ pub fn run_point(point: &SweepPoint) -> std::io::Result<Json> {
             nbits: 64,
             cycle_ns: SWEEP_CYCLE_NS,
             queue_capacity: point.queue_capacity,
-            backend: point.backend,
             ..ShardConfig::default()
         },
         ..ServerConfig::default()
@@ -543,11 +532,12 @@ pub fn run_point(point: &SweepPoint) -> std::io::Result<Json> {
     }
 
     let q = |p: f64| result.latency_us.quantile(p).unwrap_or(0.0);
-    let server_q =
+    // The server total of the traced sample at the client-RTT
+    // quantile, not a quantile of server time.
+    let rtt_q_sample_server =
         |p: f64| sample_at_quantile(&result.traced, p).map_or(0u64, |s| s.timing.total_us());
     Ok(Json::obj()
         .set("label", point.label)
-        .set("backend", point.backend.as_str())
         .set("shards", point.shards as u64)
         .set("queue_capacity", point.queue_capacity as u64)
         .set("connections", point.load.connections as u64)
@@ -560,9 +550,9 @@ pub fn run_point(point: &SweepPoint) -> std::io::Result<Json> {
         .set("p99_us", q(0.99))
         .set("p999_us", q(0.999))
         .set("traced", result.traced.len() as u64)
-        .set("server_p50_us", server_q(0.50))
-        .set("server_p99_us", server_q(0.99))
-        .set("server_p999_us", server_q(0.999))
+        .set("rtt_q_sample_server_p50_us", rtt_q_sample_server(0.50))
+        .set("rtt_q_sample_server_p99_us", rtt_q_sample_server(0.99))
+        .set("rtt_q_sample_server_p999_us", rtt_q_sample_server(0.999))
         .set("answered", result.answered)
         .set("shed", result.shed)
         .set("shed_rate", result.shed_rate())
@@ -586,25 +576,15 @@ pub fn run_sweep(points: &[SweepPoint]) -> std::io::Result<Report> {
     let mut report = Report::new("server");
     report.set("cycle_ns", SWEEP_CYCLE_NS);
     println!(
-        "{:>9} {:>7} | {:>6} {:>5} | {:>12} {:>9} {:>9} {:>9} | {:>9} {:>9}",
-        "label",
-        "backend",
-        "shards",
-        "conns",
-        "ops/s",
-        "p50 us",
-        "p99 us",
-        "p999 us",
-        "shed",
-        "stall"
+        "{:>9} | {:>6} {:>5} | {:>12} {:>9} {:>9} {:>9} | {:>9} {:>9}",
+        "label", "shards", "conns", "ops/s", "p50 us", "p99 us", "p999 us", "shed", "stall"
     );
     for point in points {
         let row = run_point(point)?;
         let f = |k: &str| row.get(k).and_then(Json::as_f64).unwrap_or(0.0);
         println!(
-            "{:>9} {:>7} | {:>6} {:>5} | {:>12.0} {:>9.0} {:>9.0} {:>9.0} | {:>8.1}% {:>8.2}%",
+            "{:>9} | {:>6} {:>5} | {:>12.0} {:>9.0} {:>9.0} {:>9.0} | {:>8.1}% {:>8.2}%",
             point.label,
-            point.backend.as_str(),
             point.shards,
             point.load.connections,
             f("throughput_ops_s"),
@@ -750,7 +730,6 @@ mod tests {
             shards: 2,
             queue_capacity: 64,
             label: "test",
-            backend: Backend::Scalar,
             load: LoadConfig {
                 connections: 4,
                 requests_per_conn: 8,
@@ -773,7 +752,6 @@ mod tests {
             shards: 2,
             queue_capacity: 64,
             label: "test-traced",
-            backend: Backend::Sliced,
             load: LoadConfig {
                 connections: 4,
                 requests_per_conn: 8,
@@ -790,7 +768,11 @@ mod tests {
         // varies per request), so only positivity is asserted here; the
         // strict per-sample `total <= rtt` bound lives in
         // `traced_samples_phase_sums_never_exceed_the_round_trip`.
-        for column in ["server_p50_us", "server_p99_us", "server_p999_us"] {
+        for column in [
+            "rtt_q_sample_server_p50_us",
+            "rtt_q_sample_server_p99_us",
+            "rtt_q_sample_server_p999_us",
+        ] {
             let total = row.get(column).and_then(Json::as_u64).expect("column");
             assert!(total > 0, "{column}: decomposition was echoed");
         }
@@ -848,7 +830,6 @@ mod tests {
             shards: 1,
             queue_capacity: 1,
             label: "test-overload",
-            backend: Backend::Scalar,
             load: LoadConfig {
                 connections: 16,
                 requests_per_conn: 10,

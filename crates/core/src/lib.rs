@@ -61,8 +61,8 @@ pub use multiop::MultiOperandAdder;
 pub use overclock::TimingSpeculativeAdder;
 pub use residue::ResidueChecker;
 pub use software::{
-    windowed_add_u64, windowed_add_wide, windowed_sum_u64, windowed_sum_wide, Speculation,
-    SpeculativeAdder,
+    aca_u64, windowed_add_u64, windowed_add_wide, windowed_sum_u64, windowed_sum_wide, AcaWord,
+    Speculation, SpeculativeAdder,
 };
 pub use vlsa::{vlsa_adder, vlsa_into, VlsaNets};
 

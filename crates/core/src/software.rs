@@ -136,28 +136,7 @@ impl SpeculativeAdder {
     /// Panics if the adder is wider than 64 bits; use
     /// [`SpeculativeAdder::add_wide`] instead.
     pub fn add_u64(&self, a: u64, b: u64) -> Speculation<u64> {
-        assert!(
-            self.nbits <= 64,
-            "adder is {} bits wide; use add_wide",
-            self.nbits
-        );
-        let mask = if self.nbits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.nbits) - 1
-        };
-        let a = a & mask;
-        let b = b & mask;
-        let spec = windowed_sum_u64(a, b, self.nbits, self.window);
-        let exact = a.wrapping_add(b) & mask;
-        let p = a ^ b;
-        let error_detected = vlsa_runstats::longest_one_run_u64(p) as usize >= self.window;
-        crate::metrics::record_add(error_detected, spec == exact);
-        Speculation {
-            speculative: spec,
-            exact,
-            error_detected,
-        }
+        self.add_u64_with_cout(a, b).0
     }
 
     /// The exact fallback path: `(a + b) mod 2ⁿ` and the true
@@ -174,28 +153,29 @@ impl SpeculativeAdder {
             "adder is {} bits wide; use add_wide",
             self.nbits
         );
-        let mask = if self.nbits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.nbits) - 1
-        };
-        let (a, b) = (a & mask, b & mask);
-        let full = a as u128 + b as u128;
+        let mask = width_mask(self.nbits);
+        let full = (a & mask) as u128 + (b & mask) as u128;
         ((full as u64) & mask, full >> self.nbits != 0)
     }
 
     /// [`SpeculativeAdder::add_u64`] plus the speculative carry-out —
     /// the carry the ACA's top window produces, which the residue
     /// checker needs to close the congruence over the full `(n+1)`-bit
-    /// result.
+    /// result. One [`aca_u64`] call computes both.
     ///
     /// # Panics
     ///
     /// Panics if the adder is wider than 64 bits.
     pub fn add_u64_with_cout(&self, a: u64, b: u64) -> (Speculation<u64>, bool) {
-        let spec = self.add_u64(a, b);
-        let (_, cout) = windowed_add_u64(a, b, self.nbits, self.window);
-        (spec, cout)
+        let (exact, _) = self.exact_u64(a, b);
+        let word = aca_u64(a, b, self.nbits, self.window);
+        crate::metrics::record_add(word.er, word.sum == exact);
+        let spec = Speculation {
+            speculative: word.sum,
+            exact,
+            error_detected: word.er,
+        };
+        (spec, word.cout)
     }
 
     /// Adds two wide values stored as little-endian `u64` words.
@@ -226,20 +206,83 @@ fn bit(words: &[u64], i: usize) -> u64 {
     words.get(i / 64).map_or(0, |w| (w >> (i % 64)) & 1)
 }
 
-/// The ACA sum of `a + b` over `nbits` bits with carry window `window`,
-/// for operands up to 64 bits.
+fn width_mask(nbits: usize) -> u64 {
+    if nbits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << nbits) - 1
+    }
+}
+
+/// One ACA addition of up to 64 bits, as [`aca_u64`] computes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AcaWord {
+    /// The speculative (windowed) sum, masked to the width.
+    pub sum: u64,
+    /// The speculative carry-out: the carry the top window produces.
+    pub cout: bool,
+    /// The paper's `ER` signal: a propagate run of `window` or more.
+    pub er: bool,
+}
+
+/// The word-level ACA kernel: the windowed sum of `a + b` over `nbits`
+/// bits with carry window `window`, its carry-out, and `ER`.
 ///
-/// Runs in `O(nbits)` by tracking the run of propagates ending below
-/// each position: the window carry is the carry value latched at the
-/// last non-propagate position, or 0 if the whole window propagates.
+/// With g = a∧b and p = a⊕b, `(G_s, P_s)` at bit i is the
+/// generate/propagate of the `s` bits ending at i. A doubling ladder
+/// builds G₂ₛ = Gₛ ∨ Pₛ∧(Gₛ≪s) and P₂ₛ = Pₛ∧(Pₛ≪s), and the k-bit window
+/// is composed from the binary decomposition of k. Shifts fill with
+/// zeros, which truncates every span at bit 0. The carry into bit i is
+/// G_k at i−1, so the sum is p ⊕ (G_k≪1) and the carry-out is G_k at
+/// bit n−1; ER is any set bit of P_k. [`windowed_add_wide`] is the
+/// per-bit reference this is tested against.
+///
+/// Operands are truncated to `nbits`. A window wider than `nbits` sees
+/// every lower bit (the sum is exact) and never raises `ER`.
+///
+/// # Panics
+///
+/// Panics if `nbits > 64`, or `window` is zero.
+pub fn aca_u64(a: u64, b: u64, nbits: usize, window: usize) -> AcaWord {
+    assert!(nbits <= 64, "use windowed_add_wide for nbits > 64");
+    assert!(window > 0, "window must be positive");
+    let mask = width_mask(nbits);
+    let (a, b) = (a & mask, b & mask);
+    let p = a ^ b;
+    let k = window.min(nbits);
+    // (gs, ps): the ladder span of width s; (gk, pk): the window so far,
+    // `len` bits wide, extended downward by each set bit of k.
+    let (mut gs, mut ps) = (a & b, p);
+    let (mut gk, mut pk) = (0u64, u64::MAX);
+    let (mut s, mut len) = (1usize, 0usize);
+    loop {
+        if k & s != 0 {
+            gk |= pk & (gs << len);
+            pk &= ps << len;
+            len += s;
+        }
+        if len == k {
+            break;
+        }
+        gs |= ps & (gs << s);
+        ps &= ps << s;
+        s <<= 1;
+    }
+    AcaWord {
+        sum: (p ^ (gk << 1)) & mask,
+        cout: nbits > 0 && (gk >> (nbits - 1)) & 1 == 1,
+        er: window <= nbits && pk & mask != 0,
+    }
+}
+
+/// The ACA sum of `a + b` over `nbits` bits with carry window `window`,
+/// for operands up to 64 bits (see [`aca_u64`]).
 ///
 /// # Panics
 ///
 /// Panics if `nbits > 64`, or `window` is zero.
 pub fn windowed_sum_u64(a: u64, b: u64, nbits: usize, window: usize) -> u64 {
-    assert!(nbits <= 64, "use windowed_sum_wide for nbits > 64");
-    let wide = windowed_sum_wide(&[a], &[b], nbits, window);
-    wide[0]
+    aca_u64(a, b, nbits, window).sum
 }
 
 /// [`windowed_sum_u64`] plus the speculative carry-out: the carry the
@@ -249,9 +292,8 @@ pub fn windowed_sum_u64(a: u64, b: u64, nbits: usize, window: usize) -> u64 {
 ///
 /// Panics if `nbits > 64`, or `window` is zero.
 pub fn windowed_add_u64(a: u64, b: u64, nbits: usize, window: usize) -> (u64, bool) {
-    assert!(nbits <= 64, "use windowed_add_wide for nbits > 64");
-    let (sum, cout) = windowed_add_wide(&[a], &[b], nbits, window);
-    (sum[0], cout)
+    let word = aca_u64(a, b, nbits, window);
+    (word.sum, word.cout)
 }
 
 /// Wide-operand version of [`windowed_sum_u64`].
@@ -574,6 +616,75 @@ mod tests {
                 let (sum, cout) = windowed_add_u64(a, b, 6, 6);
                 assert_eq!(sum, (a + b) & 0x3F);
                 assert_eq!(cout, a + b > 0x3F);
+            }
+        }
+    }
+
+    /// The per-bit oracle for one `u64` addition: every [`Speculation`]
+    /// field plus the speculative carry-out, from [`windowed_add_wide`].
+    fn oracle(a: u64, b: u64, nbits: usize, window: usize) -> (Speculation<u64>, bool) {
+        let mask = width_mask(nbits);
+        let (a, b) = (a & mask, b & mask);
+        let (sum, cout) = windowed_add_wide(&[a], &[b], nbits, window);
+        let spec = Speculation {
+            speculative: sum[0],
+            exact: a.wrapping_add(b) & mask,
+            error_detected: longest_one_run_words(&[a ^ b], nbits) as usize >= window,
+        };
+        (spec, cout)
+    }
+
+    fn assert_kernel_matches_oracle(a: u64, b: u64, nbits: usize, window: usize) {
+        let adder = SpeculativeAdder::new(nbits, window).expect("valid");
+        assert_eq!(
+            adder.add_u64_with_cout(a, b),
+            oracle(a, b, nbits, window),
+            "a={a:#x} b={b:#x} n={nbits} k={window}"
+        );
+    }
+
+    #[test]
+    fn kernel_matches_oracle_exhaustively_up_to_8_bits() {
+        for nbits in 1..=8usize {
+            for window in 1..=nbits {
+                for a in 0..1u64 << nbits {
+                    for b in 0..1u64 << nbits {
+                        assert_kernel_matches_oracle(a, b, nbits, window);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_random_and_propagate_heavy_operands() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(113);
+        for nbits in [13usize, 32, 64] {
+            for window in 1..=nbits {
+                for _ in 0..256 {
+                    let a: u64 = rng.gen();
+                    assert_kernel_matches_oracle(a, rng.gen(), nbits, window);
+                    // b = !a with sparse noise: long propagate runs, so
+                    // ER fires and the window truncates real carries.
+                    let noise = rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>();
+                    assert_kernel_matches_oracle(a, !a ^ noise, nbits, window);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_windows_wider_than_the_adder_are_exact() {
+        for nbits in 1..=6usize {
+            let mask = width_mask(nbits);
+            for a in 0..1u64 << nbits {
+                for b in 0..1u64 << nbits {
+                    let word = aca_u64(a, b, nbits, nbits + 3);
+                    let (sum, cout) = windowed_add_wide(&[a], &[b], nbits, nbits + 3);
+                    assert_eq!((word.sum, word.cout), (sum[0], cout));
+                    assert_eq!(word.sum, (a + b) & mask);
+                    assert!(!word.er);
+                }
             }
         }
     }

@@ -10,8 +10,7 @@
 
 use crate::FinalAdder;
 use std::fmt;
-use vlsa_core::{windowed_sum_wide, SpecError, Speculation};
-use vlsa_runstats::longest_one_run_words;
+use vlsa_core::{aca_u64, SpecError, Speculation};
 
 /// A software Wallace-tree multiplier with a speculative final adder,
 /// bit-exact against [`crate::wallace_multiplier`].
@@ -116,15 +115,12 @@ impl SpeculativeMultiplier {
         let mask = (1u64 << self.nbits) - 1;
         let (a, b) = (a & mask, b & mask);
         let (x, y) = self.carry_save_addends(a, b);
-        let width = 2 * self.nbits;
-        let spec = windowed_sum_wide(&[x], &[y], width, self.window)[0] as u128;
-        let exact = a as u128 * b as u128;
-        let p = x ^ y;
-        let error_detected = longest_one_run_words(&[p], width) as usize >= self.window;
+        // `new` bounds nbits to 32, so the final adder fits one word.
+        let word = aca_u64(x, y, 2 * self.nbits, self.window);
         Speculation {
-            speculative: spec,
-            exact,
-            error_detected,
+            speculative: word.sum as u128,
+            exact: a as u128 * b as u128,
+            error_detected: word.er,
         }
     }
 }

@@ -38,8 +38,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vlsa_batch::BatchExecutor;
-use vlsa_core::{windowed_add_u64, ResidueChecker, SpeculativeAdder};
+use vlsa_core::{ResidueChecker, SpeculativeAdder};
 use vlsa_telemetry::names::resilience as metric;
 use vlsa_trace::{names as span, TraceEvent};
 
@@ -392,7 +391,6 @@ impl ResilientPipeline {
         } else {
             (1u64 << nbits) - 1
         };
-        let window = self.adder.window();
         let telemetry_on = vlsa_telemetry::is_enabled();
         let spans = vlsa_trace::recorder();
         let run_start = self.cycle;
@@ -465,7 +463,7 @@ impl ResilientPipeline {
             let mut delivered;
             loop {
                 let attempt_ts = self.cycle;
-                let r = self.adder.add_u64(a, b);
+                let (r, spec_cout) = self.adder.add_u64_with_cout(a, b);
                 self.cycle += 1;
                 let mut er = r.error_detected;
                 let mut spec = r.speculative;
@@ -518,313 +516,7 @@ impl ResilientPipeline {
                     dcout = truth_cout;
                 } else {
                     delivered = spec;
-                    // The speculative carry-out is only needed when a
-                    // checker will audit it.
-                    dcout =
-                        self.config.residue.is_some() && windowed_add_u64(a, b, nbits, window).1;
-                }
-                let Some(checker) = &self.config.residue else {
-                    break;
-                };
-                stats.residue_checks += 1;
-                if checker.accepts(a, b, delivered, dcout, nbits) {
-                    break;
-                }
-                stats.residue_mismatches += 1;
-                let elapsed = self.cycle - op_start;
-                let retry_allowed = attempts < self.config.max_retries;
-                let watchdog_ok = elapsed < self.config.watchdog_stall_limit;
-                if retry_allowed && watchdog_ok {
-                    attempts += 1;
-                    stats.retries += 1;
-                    if let Some(rec) = &spans {
-                        rec.record(
-                            TraceEvent::instant(span::RESIDUE_RETRY, "resilience", self.cycle)
-                                .on_track(1)
-                                .arg("i", i),
-                        );
-                    }
-                    continue;
-                }
-                watchdog_tripped = retry_allowed && !watchdog_ok;
-                escalate = true;
-                break;
-            }
-
-            if escalate {
-                if watchdog_tripped {
-                    stats.watchdog_trips += 1;
-                    if let Some(rec) = &spans {
-                        rec.record(
-                            TraceEvent::instant(span::WATCHDOG, "resilience", self.cycle)
-                                .on_track(2)
-                                .arg("i", i),
-                        );
-                    }
-                }
-                stats.escalations += 1;
-                if let Some(rec) = &spans {
-                    rec.record(
-                        TraceEvent::instant(span::ESCALATE, "resilience", self.cycle)
-                            .on_track(2)
-                            .arg("i", i),
-                    );
-                    rec.record(
-                        TraceEvent::complete(
-                            span::EXACT_OP,
-                            "resilience",
-                            self.cycle,
-                            self.config.exact_latency_cycles,
-                        )
-                        .on_track(2),
-                    );
-                }
-                self.cycle += self.config.exact_latency_cycles;
-                delivered = truth;
-                self.recent_escalations.push_back(i);
-                while let Some(&front) = self.recent_escalations.front() {
-                    if front + self.config.degrade_window_ops <= i {
-                        self.recent_escalations.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                if !self.degraded
-                    && self.recent_escalations.len() as u64
-                        >= u64::from(self.config.degrade_threshold)
-                {
-                    self.degraded = true;
-                    stats.degrade_transitions += 1;
-                    if let Some(rec) = &spans {
-                        rec.record(
-                            TraceEvent::instant(span::DEGRADE, "resilience", self.cycle)
-                                .on_track(2)
-                                .arg("i", i),
-                        );
-                        rec.record(
-                            TraceEvent::counter("degraded", "resilience", self.cycle, 1)
-                                .on_track(3),
-                        );
-                    }
-                }
-            }
-
-            if delivered != truth {
-                stats.silent_corruptions += 1;
-            }
-            if let Some(rec) = &spans {
-                rec.record(
-                    TraceEvent::complete(span::OP, "resilience", op_start, self.cycle - op_start)
-                        .arg("i", i)
-                        .arg("a", a)
-                        .arg("b", b)
-                        .arg("sum", delivered)
-                        .arg("err", u64::from(last_er)),
-                );
-            }
-            out.push(OpOutcome {
-                sum: delivered,
-                stalled: last_er,
-                exact_path: escalate,
-                cycles: self.cycle - op_start,
-            });
-        }
-
-        stats.cycles = self.cycle - run_start;
-        if telemetry_on {
-            let rec = vlsa_telemetry::recorder();
-            rec.counter(metric::OPS).add(stats.ops);
-            rec.counter(metric::RESIDUE_CHECKS)
-                .add(stats.residue_checks);
-            rec.counter(metric::RESIDUE_MISMATCHES)
-                .add(stats.residue_mismatches);
-            rec.counter(metric::RETRIES).add(stats.retries);
-            rec.counter(metric::ESCALATIONS).add(stats.escalations);
-            rec.counter(metric::WATCHDOG_TRIPS)
-                .add(stats.watchdog_trips);
-            rec.counter(metric::DEGRADE_TRANSITIONS)
-                .add(stats.degrade_transitions);
-            rec.counter(metric::DEGRADED_OPS).add(stats.degraded_ops);
-            rec.counter(metric::SILENT_CORRUPTIONS)
-                .add(stats.silent_corruptions);
-        }
-        BatchTrace {
-            outcomes: out,
-            stats,
-        }
-    }
-
-    /// [`ResilientPipeline::run_batch`] with the arithmetic delegated
-    /// to a pluggable [`BatchExecutor`] — the entry point the sliced
-    /// (bit-transposed) backend uses.
-    ///
-    /// The executor pre-computes every op's speculative sum, exact sum,
-    /// `ER` flag, and carry-outs in one data-parallel pass; this method
-    /// then replays the exact per-op state machine of
-    /// [`ResilientPipeline::run_batch`] — fault application per attempt
-    /// timestamp, residue audits, bounded retry, watchdog, escalation,
-    /// and the degrade latch (including the pre-emptive signal check
-    /// *per op*, so mid-batch monitor flips land on the same op) — from
-    /// those verdicts. Outcomes, stats, cycle accounting, and emitted
-    /// spans are bit-identical to `run_batch`; retries are free to
-    /// reuse the verdict because the adder is deterministic, exactly as
-    /// the scalar path's re-execution is.
-    ///
-    /// The one intentional divergence: the scalar path's `add_u64`
-    /// increments the `vlsa.core.*` counters, while executors account
-    /// for their own arithmetic (`vlsa.batch.*` for the sliced engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the executor's width or window disagrees with the
-    /// pipeline's adder.
-    pub fn run_batch_on(
-        &mut self,
-        executor: &dyn BatchExecutor,
-        operands: &[(u64, u64)],
-    ) -> BatchTrace {
-        let nbits = self.adder.nbits();
-        assert!(nbits <= 64, "ResilientPipeline::run is limited to 64 bits");
-        assert_eq!(
-            executor.nbits(),
-            nbits,
-            "executor width must match the adder"
-        );
-        assert_eq!(
-            executor.window(),
-            self.adder.window(),
-            "executor window must match the adder"
-        );
-        let mask = if nbits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << nbits) - 1
-        };
-        let telemetry_on = vlsa_telemetry::is_enabled();
-        let spans = vlsa_trace::recorder();
-        let run_start = self.cycle;
-        let mut stats = ResilientStats::default();
-        let mut out = Vec::with_capacity(operands.len());
-        let verdicts = executor.execute(operands);
-        debug_assert_eq!(verdicts.len(), operands.len());
-
-        for (&(a, b), verdict) in operands.iter().zip(&verdicts) {
-            let (a, b) = (a & mask, b & mask);
-            let i = self.op_index;
-            self.op_index += 1;
-            stats.ops += 1;
-            let op_start = self.cycle;
-            if !self.degraded
-                && self
-                    .degrade_signal
-                    .as_ref()
-                    .is_some_and(|s| s.load(Ordering::Relaxed))
-            {
-                self.degraded = true;
-                stats.degrade_transitions += 1;
-                if let Some(rec) = &spans {
-                    rec.record(
-                        TraceEvent::instant(span::DEGRADE, "resilience", op_start)
-                            .on_track(2)
-                            .arg("i", i)
-                            .arg("preemptive", 1),
-                    );
-                    rec.record(
-                        TraceEvent::counter("degraded", "resilience", op_start, 1).on_track(3),
-                    );
-                }
-            }
-            // Ground truth: the executor's exact path is conformance-
-            // tested against `exact_u64`, and faults never touch it.
-            let truth = verdict.exact;
-            let truth_cout = verdict.exact_cout;
-
-            if self.degraded {
-                self.cycle += self.config.exact_latency_cycles;
-                stats.degraded_ops += 1;
-                if let Some(rec) = &spans {
-                    let dur = self.config.exact_latency_cycles;
-                    rec.record(
-                        TraceEvent::complete(span::OP, "resilience", op_start, dur)
-                            .arg("i", i)
-                            .arg("a", a)
-                            .arg("b", b)
-                            .arg("sum", truth)
-                            .arg("err", 0),
-                    );
-                    rec.record(
-                        TraceEvent::complete(span::EXACT_OP, "resilience", op_start, dur)
-                            .on_track(2),
-                    );
-                }
-                out.push(OpOutcome {
-                    sum: truth,
-                    stalled: false,
-                    exact_path: true,
-                    cycles: self.config.exact_latency_cycles,
-                });
-                continue;
-            }
-
-            let mut attempts = 0u32;
-            let mut escalate = false;
-            let mut watchdog_tripped = false;
-            let mut last_er;
-            let mut delivered;
-            loop {
-                let attempt_ts = self.cycle;
-                self.cycle += 1;
-                let mut er = verdict.er;
-                let mut spec = verdict.spec;
-                let mut exact_hw = verdict.exact;
-                for fault in &self.faults {
-                    if !fault.active(attempt_ts) {
-                        continue;
-                    }
-                    match fault.kind {
-                        FaultKind::SuppressDetector => er = false,
-                        FaultKind::AssertDetector => er = true,
-                        FaultKind::FlipSpecBit(bit) => {
-                            if (bit as usize) < nbits {
-                                spec ^= 1u64 << bit;
-                            }
-                        }
-                        FaultKind::FlipExactBit(bit) => {
-                            if (bit as usize) < nbits {
-                                exact_hw ^= 1u64 << bit;
-                            }
-                        }
-                    }
-                }
-                last_er = er;
-                if let Some(rec) = &spans {
-                    rec.record(
-                        TraceEvent::complete(span::SPECULATE, "resilience", attempt_ts, 1)
-                            .on_track(1),
-                    );
-                }
-                let dcout;
-                if er {
-                    stats.er_recoveries += 1;
-                    if let Some(rec) = &spans {
-                        rec.record(
-                            TraceEvent::instant(span::DETECT, "resilience", self.cycle).on_track(1),
-                        );
-                        rec.record(
-                            TraceEvent::complete(span::RECOVER, "resilience", self.cycle, 1)
-                                .on_track(1),
-                        );
-                        rec.record(
-                            TraceEvent::complete(span::STALL, "resilience", self.cycle, 1)
-                                .on_track(2),
-                        );
-                    }
-                    self.cycle += 1;
-                    delivered = exact_hw;
-                    dcout = truth_cout;
-                } else {
-                    delivered = spec;
-                    dcout = self.config.residue.is_some() && verdict.spec_cout;
+                    dcout = spec_cout;
                 }
                 let Some(checker) = &self.config.residue else {
                     break;

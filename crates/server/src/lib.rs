@@ -103,4 +103,3 @@ pub use shard::{
     SupervisorConfig,
 };
 pub use slo::{ServerSlo, SloVerdict};
-pub use vlsa_batch::Backend;

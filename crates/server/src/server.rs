@@ -296,7 +296,6 @@ impl VlsaServer {
                         ("window", &config.shard.window.to_string()),
                         ("shards", &config.shards.to_string()),
                         ("cycle_ns", &config.shard.cycle_ns.to_string()),
-                        ("backend", config.shard.backend.as_str()),
                     ],
                 ))
                 .set(1.0);
@@ -624,7 +623,6 @@ fn observability_routes(
         .set("window", config.shard.window as u64)
         .set("shards", config.shards as u64)
         .set("cycle_ns", config.shard.cycle_ns)
-        .set("backend", config.shard.backend.as_str())
         .set("trace_sample_every", config.trace.sample_every);
     let mut routes = Vec::new();
     {

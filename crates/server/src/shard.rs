@@ -46,7 +46,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vlsa_batch::{Backend, SlicedExecutor, WorkerPool, LANES};
 use vlsa_chaos::{ChaosInjector, WorkerFault};
 use vlsa_core::{SpecError, SpeculativeAdder};
 use vlsa_monitor::{ConformanceMonitor, MonitorConfig};
@@ -104,10 +103,6 @@ pub struct ShardConfig {
     /// Modeled device cycle time in nanoseconds; `0` disables pacing
     /// (the worker runs as fast as the host allows).
     pub cycle_ns: u64,
-    /// Which arithmetic backend each shard worker runs its batches on:
-    /// the scalar per-op loop or the bit-sliced (transposed) engine.
-    /// Outcomes are bit-identical either way; only throughput differs.
-    pub backend: Backend,
     /// Ops per conformance-monitor window; `None` runs without a
     /// monitor.
     pub monitor_window_ops: Option<u64>,
@@ -124,7 +119,6 @@ impl Default for ShardConfig {
             queue_capacity: 64,
             batch: BatchPolicy::default(),
             cycle_ns: 0,
-            backend: Backend::Scalar,
             monitor_window_ops: None,
             supervisor: SupervisorConfig::default(),
         }
@@ -731,7 +725,6 @@ struct ShardMetrics {
     batches: Arc<vlsa_telemetry::Counter>,
     deadline_exceeded: Arc<vlsa_telemetry::Counter>,
     batch_ops: Arc<vlsa_telemetry::Histogram>,
-    batch_fill: Arc<vlsa_telemetry::Histogram>,
     latency: Arc<vlsa_telemetry::Histogram>,
     queue_depth: Arc<vlsa_telemetry::Gauge>,
     p50: Arc<vlsa_telemetry::Gauge>,
@@ -751,7 +744,6 @@ impl ShardMetrics {
             batches: rec.counter(metric::BATCHES),
             deadline_exceeded: rec.counter(metric::DEADLINE_EXCEEDED),
             batch_ops: rec.histogram(metric::BATCH_OPS, DEFAULT_BUCKETS),
-            batch_fill: rec.histogram(metric::BATCH_FILL, DEFAULT_BUCKETS),
             latency: rec.histogram(
                 &labeled(metric::REQUEST_LATENCY_US, "shard", shard),
                 DEFAULT_BUCKETS,
@@ -858,16 +850,6 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
     let adder = SpeculativeAdder::new(config.nbits, config.window).expect("validated in start");
     let mut pipeline = ResilientPipeline::new(adder, config.resilience);
     pipeline.set_degrade_signal(Arc::clone(&ctx.degrade));
-    // The sliced backend's executor, with a small shard-local
-    // work-stealing set so a multi-block request splits across threads;
-    // single-block requests run inline on this worker.
-    let executor = match config.backend {
-        Backend::Scalar => None,
-        Backend::Sliced => Some(
-            SlicedExecutor::new(config.nbits, config.window)
-                .with_pool(Arc::new(WorkerPool::new(2))),
-        ),
-    };
     let mut monitor = config.monitor_window_ops.map(|window_ops| {
         let mc = MonitorConfig::new(config.nbits, config.window).with_window_ops(window_ops);
         let mut m = ConformanceMonitor::new(mc);
@@ -996,10 +978,7 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
                     )
                 })
                 .collect();
-            let batch = match &executor {
-                Some(executor) => pipeline.run_batch_on(executor, &ops),
-                None => pipeline.run_batch(&ops),
-            };
+            let batch = pipeline.run_batch(&ops);
             if let Some(m) = monitor.as_mut() {
                 let _in_monitor = stack.push(f_monitor);
                 for (&(a, b), outcome) in ops.iter().zip(&batch.outcomes) {
@@ -1034,15 +1013,6 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
                 m.ops.add(batch.stats.ops);
                 m.stalls.add(batch.stats.er_recoveries);
                 m.exact_ops.add(exact);
-                // Lane occupancy: how this job's ops decompose into
-                // 64-lane words. Recorded for both backends so flipping
-                // `--backend` never changes which series exist.
-                let mut remaining = batch.stats.ops;
-                while remaining > 0 {
-                    let fill = remaining.min(LANES as u64);
-                    m.batch_fill.record(fill);
-                    remaining -= fill;
-                }
             }
             let results: Vec<OpResult> = batch
                 .outcomes

@@ -19,8 +19,8 @@ use vlsa_pipeline::{
     VlsaPipeline,
 };
 use vlsa_server::{
-    AddBatch, Backend, BatchPolicy, Frame, OpResult, Response, ServerConfig, ShardConfig,
-    ShardPool, VlsaClient, VlsaServer,
+    AddBatch, BatchPolicy, Frame, OpResult, Response, ServerConfig, ShardConfig, ShardPool,
+    VlsaClient, VlsaServer,
 };
 
 const NBITS: usize = 32;
@@ -69,15 +69,7 @@ fn shard_config() -> ShardConfig {
 /// a pool (all outstanding at once, so batches coalesce), returning
 /// per-op results flattened back into stream order.
 fn run_through_pool(ops: &[(u64, u64)], shards: usize) -> Vec<OpResult> {
-    run_through_pool_on(ops, shards, Backend::Scalar)
-}
-
-fn run_through_pool_on(ops: &[(u64, u64)], shards: usize, backend: Backend) -> Vec<OpResult> {
-    let config = ShardConfig {
-        backend,
-        ..shard_config()
-    };
-    let pool = ShardPool::start(&config, shards).expect("valid config");
+    let pool = ShardPool::start(&shard_config(), shards).expect("valid config");
     let chunks: Vec<&[(u64, u64)]> = ops.chunks(37).collect();
     let mut receivers = Vec::with_capacity(chunks.len());
     for (id, chunk) in chunks.iter().enumerate() {
@@ -133,20 +125,6 @@ proptest! {
             let results = run_through_pool(&ops, shards);
             assert_bit_identical(&ops, &results, &format!("seed {seed}, {shards} shards"));
         }
-    }
-}
-
-#[test]
-fn sliced_backend_is_bit_identical_to_scalar_through_the_pool() {
-    // The whole `--backend sliced` contract at the serving layer: same
-    // sums, same stall flags, same exact-path verdicts as the scalar
-    // loop, request by request.
-    let ops = mixed_stream(0xBAC_7E57, 999);
-    for shards in [1usize, 3] {
-        let scalar = run_through_pool_on(&ops, shards, Backend::Scalar);
-        let sliced = run_through_pool_on(&ops, shards, Backend::Sliced);
-        assert_eq!(scalar, sliced, "{shards} shards");
-        assert_bit_identical(&ops, &sliced, &format!("sliced, {shards} shards"));
     }
 }
 

@@ -109,11 +109,6 @@ pub mod server {
     pub const BATCHES: &str = "vlsa.server.batches";
     /// Operand pairs per flushed batch (histogram).
     pub const BATCH_OPS: &str = "vlsa.server.batch_ops";
-    /// Occupied lanes per 64-lane word a flushed batch decomposes into
-    /// (histogram). Full words record 64; the ragged tail records the
-    /// remainder, so the sliced backend's lane efficiency is readable
-    /// straight off `/metrics` regardless of the active backend.
-    pub const BATCH_FILL: &str = "vlsa.server.batch_fill";
     /// Per-request latency from enqueue to response ready, in
     /// microseconds (histogram, labeled per shard).
     pub const REQUEST_LATENCY_US: &str = "vlsa.server.request_latency_us";
@@ -152,30 +147,6 @@ pub mod server {
     /// Connections torn down for feeding a frame slower than the
     /// per-frame deadline (slow-loris defense).
     pub const SLOW_FRAMES: &str = "vlsa.server.slow_frames";
-}
-
-/// `vlsa.batch.*` — the bit-sliced data-parallel batch engine
-/// (`vlsa-batch`'s `SlicedExecutor`): per-phase cost of the
-/// transpose → word-wide compute → untranspose pipeline, and how full
-/// the 64-lane words actually run.
-pub mod batch {
-    /// Operand pairs executed by the sliced backend.
-    pub const OPS: &str = "vlsa.batch.ops";
-    /// 64-lane blocks processed (full or ragged).
-    pub const BLOCKS: &str = "vlsa.batch.blocks";
-    /// Nanoseconds spent transposing operands into lane words.
-    pub const TRANSPOSE_NS: &str = "vlsa.batch.transpose_ns";
-    /// Nanoseconds spent in word-wide P/G, ER, and prefix compute.
-    pub const COMPUTE_NS: &str = "vlsa.batch.compute_ns";
-    /// Nanoseconds spent transposing sums back to lane order.
-    pub const UNTRANSPOSE_NS: &str = "vlsa.batch.untranspose_ns";
-    /// Occupied lanes per processed block (histogram; 64 = full word,
-    /// anything lower is a ragged tail block wasting lanes).
-    pub const LANE_OCCUPANCY: &str = "vlsa.batch.lane_occupancy";
-    /// Chunks executed by the work-stealing pool.
-    pub const POOL_TASKS: &str = "vlsa.batch.pool_tasks";
-    /// Chunks a pool worker stole from a sibling's deque.
-    pub const POOL_STEALS: &str = "vlsa.batch.pool_steals";
 }
 
 /// `vlsa.slo.*` — the SLO error-budget engine (`vlsa-slo`): burn-rate
@@ -327,11 +298,6 @@ mod tests {
             super::server::PROTOCOL_ERRORS,
             super::server::REQUEST_LATENCY_US,
             super::server::EVENTS_EMITTED,
-            super::server::BATCH_FILL,
-            super::batch::OPS,
-            super::batch::TRANSPOSE_NS,
-            super::batch::LANE_OCCUPANCY,
-            super::batch::POOL_STEALS,
             super::slo::ALERTS,
             super::slo::BUDGET_CONSUMED,
             super::slo::BURN_RATE,
