@@ -237,7 +237,7 @@ pub fn run_chaos_point(point: &ChaosPoint) -> io::Result<Json> {
         ..ShardConfig::default()
     };
     if let Some(max_ops) = point.max_batch_ops {
-        shard.batch.max_ops = max_ops;
+        shard.max_batch_ops = max_ops;
     }
     if let Some(ms) = point.wedge_ms {
         shard.supervisor = SupervisorConfig {

@@ -11,8 +11,8 @@
 //!  client ── AddBatch ─► accept loop ─ route by request_id % N ─┐  │
 //!  client ── AddBatch ─►  (vlsa-monitor AcceptLoop)             │  │
 //!                      │                              ┌─────────▼┐ │
-//!                      │   bounded queue + batcher →  │ shard 0  │ │
-//!                      │   (Busy frame when full)     │ Resilient│ │
+//!                      │   bounded queue, greedy   →  │ shard 0  │ │
+//!                      │   batches (Busy when full)   │ Resilient│ │
 //!                      │                              │ Pipeline │ │
 //!                      │                              └─────────┬┘ │
 //!  client ◄─ SumBatch ─┤            …shards 1..N-1…             │  │
@@ -24,9 +24,11 @@
 //!   owning a `ResilientPipeline` (and optionally a live
 //!   `ConformanceMonitor` wired to that shard's degrade flag). Requests
 //!   route by `request_id % shards`.
-//! - **Adaptive batcher** ([`Batcher`]): per-shard coalescing — flush
-//!   on op-count cap or linger deadline — so many small requests become
-//!   few pipeline calls.
+//! - **Greedy batching** ([`Bounded::pop_batch`]): on wake, a shard
+//!   worker takes every request already queued, up to an op-count cap,
+//!   and runs it at once. No request waits for stragglers; under load
+//!   requests pile up while the previous batch computes, so many small
+//!   requests still become few pipeline calls.
 //! - **Backpressure, never silent drops** ([`Bounded`]): producers
 //!   never block and never lose work silently; a full queue sheds with
 //!   a typed [`Busy`] frame, and shutdown answers with a typed error.
@@ -72,7 +74,6 @@
 
 pub mod protocol;
 
-mod batcher;
 mod client;
 mod clock;
 mod error;
@@ -85,7 +86,6 @@ mod server;
 mod shard;
 mod slo;
 
-pub use batcher::{BatchPolicy, Batcher};
 pub use client::{ClientError, Response, VlsaClient, DEFAULT_TIMEOUT};
 pub use clock::ModeledClock;
 pub use error::ProtocolError;

@@ -123,6 +123,12 @@ impl ServerObs {
 
     /// Finds a trace by id, searching every shard's ring (newest first
     /// within each ring).
+    ///
+    /// A trace becomes visible only after its reply has been written:
+    /// the connection thread records it once the socket write (timed as
+    /// `write_us`) returns. A client that looks a trace up the moment
+    /// its reply arrives can therefore race the recording and must
+    /// poll.
     pub fn lookup(&self, trace_id: u64) -> Option<RequestTrace> {
         self.rings.iter().find_map(|ring| ring.lookup(trace_id))
     }

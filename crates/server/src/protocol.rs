@@ -146,7 +146,9 @@ pub struct ServerTiming {
     pub trace_id: u64,
     /// Time in the shard queue before batch formation began.
     pub queue_us: u32,
-    /// Time inside the adaptive batcher's forming/linger window.
+    /// Batch formation: from when the worker began taking queued jobs
+    /// to batch dispatch. Batching is greedy, so this never includes a
+    /// wait for stragglers; the name is kept for wire compatibility.
     pub linger_us: u32,
     /// `ResilientPipeline` compute time for this request.
     pub service_us: u32,

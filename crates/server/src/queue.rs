@@ -5,12 +5,14 @@
 //! reports [`PushError::Full`] — the backpressure signal the server
 //! turns into an explicit `Busy` frame (shed, never silently dropped).
 //! The single consumer blocks in [`Bounded::pop_batch`], which is the
-//! batching primitive: wait for the first item, then keep draining up
-//! to a weight cap or until a linger deadline passes.
+//! batching primitive: wait for the first item, then take whatever else
+//! is already queued, up to a weight cap. Nothing waits for stragglers:
+//! batches grow under load because jobs pile up while the previous
+//! batch computes (greedy batching).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a push was refused. The item comes back to the caller — nothing
 /// is ever dropped inside the queue.
@@ -113,73 +115,50 @@ impl<T> Bounded<T> {
         inner.items.drain(..).collect()
     }
 
-    /// Blocks for the first item, then drains greedily: items are taken
-    /// while their cumulative weight (per `weigh`) stays within
-    /// `max_weight`, lingering up to `linger` past the first item for
-    /// more to arrive. An item heavier than `max_weight` alone is still
-    /// taken (as a batch of one) so nothing can wedge the queue.
+    /// Blocks for the first item, then drains greedily: items already
+    /// queued are taken while their cumulative weight (per `weigh`)
+    /// stays within `max_weight`. It never waits for more to arrive. An
+    /// item heavier than `max_weight` alone is still taken (as a batch
+    /// of one) so nothing can wedge the queue.
     ///
     /// Returns an empty vector only when the queue is closed and fully
     /// drained — the consumer's signal to exit.
-    pub fn pop_batch(
-        &self,
-        max_weight: usize,
-        weigh: impl Fn(&T) -> usize,
-        linger: Duration,
-    ) -> Vec<T> {
-        self.pop_batch_timed(max_weight, weigh, linger).0
+    pub fn pop_batch(&self, max_weight: usize, weigh: impl Fn(&T) -> usize) -> Vec<T> {
+        self.pop_batch_timed(max_weight, weigh).0
     }
 
     /// [`Bounded::pop_batch`] plus the instant batch formation began
     /// (when the first item was taken off the queue). Tracing uses the
     /// instant to split a request's wait into queue time (enqueue →
-    /// formation start) and batch linger (formation start → dispatch).
+    /// formation start) and batch formation (formation start →
+    /// dispatch).
     pub fn pop_batch_timed(
         &self,
         max_weight: usize,
         weigh: impl Fn(&T) -> usize,
-        linger: Duration,
     ) -> (Vec<T>, Instant) {
         let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if !inner.items.is_empty() {
-                break;
-            }
+        while inner.items.is_empty() {
             if inner.closed {
                 return (Vec::new(), Instant::now());
             }
             inner = self.not_empty.wait(inner).expect("queue lock");
         }
         let formation_start = Instant::now();
-        let deadline = formation_start + linger;
         let mut batch = Vec::new();
         let mut weight = 0usize;
-        loop {
-            while let Some(item_weight) = inner.items.front().map(&weigh) {
-                if !batch.is_empty() && weight + item_weight > max_weight {
-                    return (batch, formation_start);
-                }
-                let item = inner.items.pop_front().expect("front checked");
-                weight += item_weight;
-                batch.push(item);
-                if weight >= max_weight {
-                    return (batch, formation_start);
-                }
+        while let Some(item_weight) = inner.items.front().map(&weigh) {
+            if !batch.is_empty() && weight + item_weight > max_weight {
+                break;
             }
-            // Drained below the cap: linger for stragglers.
-            if inner.closed {
-                return (batch, formation_start);
+            let item = inner.items.pop_front().expect("front checked");
+            weight += item_weight;
+            batch.push(item);
+            if weight >= max_weight {
+                break;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return (batch, formation_start);
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("queue lock");
-            inner = guard;
         }
+        (batch, formation_start)
     }
 }
 
@@ -197,6 +176,7 @@ impl<T> std::fmt::Debug for Bounded<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn full_queue_sheds_with_the_item_returned() {
@@ -214,9 +194,9 @@ mod tests {
         q.try_push(2).expect("push");
         q.close();
         assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
-        let batch = q.pop_batch(10, |_| 1, Duration::ZERO);
+        let batch = q.pop_batch(10, |_| 1);
         assert_eq!(batch, vec![1, 2]);
-        let done: Vec<i32> = q.pop_batch(10, |_| 1, Duration::ZERO);
+        let done: Vec<i32> = q.pop_batch(10, |_| 1);
         assert!(done.is_empty());
     }
 
@@ -227,28 +207,50 @@ mod tests {
             q.try_push(w).expect("push");
         }
         // Cap 7: two 3-weight items fit, the third would overflow.
-        let batch = q.pop_batch(7, |w| *w, Duration::ZERO);
+        let batch = q.pop_batch(7, |w| *w);
         assert_eq!(batch, vec![3, 3]);
         // An item heavier than the cap still goes through alone.
         let q2 = Bounded::new(2);
         q2.try_push(100usize).expect("push");
-        let heavy = q2.pop_batch(7, |w| *w, Duration::ZERO);
+        let heavy = q2.pop_batch(7, |w| *w);
         assert_eq!(heavy, vec![100]);
     }
 
     #[test]
-    fn pop_batch_lingers_for_stragglers() {
+    fn pop_batch_takes_only_what_is_queued() {
         let q = Arc::new(Bounded::new(8));
         let producer = Arc::clone(&q);
         q.try_push(1).expect("push");
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(20));
             producer.try_push(2).expect("push");
         });
-        // The linger window is generous enough to catch the straggler.
-        let batch = q.pop_batch(10, |_| 1, Duration::from_millis(500));
+        // Greedy: the batch is what was queued at wake-up, with no
+        // wait for the straggler.
+        let batch = q.pop_batch(10, |_| 1);
         t.join().expect("producer");
-        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(batch, vec![1]);
+        assert_eq!(q.pop_batch(10, |_| 1), vec![2]);
+    }
+
+    #[test]
+    fn coalesces_up_to_the_op_cap() {
+        let q = Bounded::new(8);
+        q.try_push(vec![1u64, 2]).expect("push");
+        q.try_push(vec![3, 4]).expect("push");
+        q.try_push(vec![5, 6]).expect("push");
+        // 2 + 2 fit under the 5-op cap; the third request would overflow.
+        let batch = q.pop_batch(5, Vec::len);
+        assert_eq!(batch.len(), 2);
+        let rest = q.pop_batch(5, Vec::len);
+        assert_eq!(rest, vec![vec![5, 6]]);
+    }
+
+    #[test]
+    fn empty_batch_signals_closed() {
+        let q: Bounded<Vec<u64>> = Bounded::new(2);
+        q.close();
+        assert!(q.pop_batch(4096, Vec::len).is_empty());
     }
 
     #[test]
@@ -259,7 +261,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             closer.close();
         });
-        let batch = q.pop_batch(10, |_| 1, Duration::ZERO);
+        let batch = q.pop_batch(10, |_| 1);
         t.join().expect("closer");
         assert!(batch.is_empty());
     }
@@ -281,7 +283,7 @@ mod tests {
         let before = Instant::now();
         std::thread::sleep(Duration::from_millis(5));
         q.try_push(1).expect("push");
-        let (batch, formation_start) = q.pop_batch_timed(10, |_| 1, Duration::ZERO);
+        let (batch, formation_start) = q.pop_batch_timed(10, |_| 1);
         assert_eq!(batch, vec![1]);
         // Formation began strictly after the pre-enqueue instant: the
         // enqueue→formation gap is the queue-wait a trace reports.

@@ -1,11 +1,18 @@
 //! The shard pool: one `ResilientPipeline` worker thread per shard,
 //! operands routed by request id, supervised for fault recovery.
 //!
-//! Each shard owns a bounded job queue ([`crate::queue::Bounded`]), an
-//! adaptive [`crate::batcher::Batcher`], a `ResilientPipeline`, and —
-//! optionally — a live `ConformanceMonitor` wired to the shard's
-//! degrade flag, so traffic drift on one shard flips *that shard* to
-//! the exact path while the others keep speculating.
+//! Each shard owns a bounded job queue ([`crate::queue::Bounded`]), a
+//! `ResilientPipeline`, and — optionally — a live `ConformanceMonitor`
+//! wired to the shard's degrade flag, so traffic drift on one shard
+//! flips *that shard* to the exact path while the others keep
+//! speculating.
+//!
+//! ## Batching
+//!
+//! Batching is greedy: on wake, the worker takes every job already
+//! queued, up to [`ShardConfig::max_batch_ops`], and runs it at once.
+//! Nothing waits for stragglers. Under load, jobs pile up while the
+//! previous batch computes, so batches still coalesce.
 //!
 //! ## Supervision
 //!
@@ -54,7 +61,6 @@ use vlsa_telemetry::names::{labeled, server as metric};
 use vlsa_telemetry::DEFAULT_BUCKETS;
 use vlsa_trace::{RequestTrace, TraceEvent};
 
-use crate::batcher::{BatchPolicy, Batcher};
 use crate::clock::ModeledClock;
 use crate::error::ProtocolError;
 use crate::events::{EventLog, WideEvent};
@@ -98,8 +104,9 @@ pub struct ShardConfig {
     pub resilience: ResilienceConfig,
     /// Bounded queue capacity, in requests; pushes beyond it shed.
     pub queue_capacity: usize,
-    /// Adaptive batch flush policy.
-    pub batch: BatchPolicy,
+    /// Op-count cap on one greedy batch. A single request larger than
+    /// the cap still runs, as a batch of one.
+    pub max_batch_ops: usize,
     /// Modeled device cycle time in nanoseconds; `0` disables pacing
     /// (the worker runs as fast as the host allows).
     pub cycle_ns: u64,
@@ -117,7 +124,7 @@ impl Default for ShardConfig {
             window: 24,
             resilience: ResilienceConfig::default(),
             queue_capacity: 64,
-            batch: BatchPolicy::default(),
+            max_batch_ops: 4096,
             cycle_ns: 0,
             monitor_window_ops: None,
             supervisor: SupervisorConfig::default(),
@@ -591,9 +598,7 @@ impl std::fmt::Debug for ShardPool {
 /// supervisor for replacements.
 fn spawn_worker(inner: &Arc<PoolInner>, shard_id: usize, generation: u64) -> JoinHandle<()> {
     let shard = &inner.shards[shard_id];
-    let batcher = Batcher::new(Arc::clone(&shard.queue), inner.config.batch, |job: &Job| {
-        job.request.ops.len().max(1)
-    });
+    let queue = Arc::clone(&shard.queue);
     let ctx = WorkerCtx {
         shard_id: shard_id as u16,
         generation,
@@ -607,7 +612,7 @@ fn spawn_worker(inner: &Arc<PoolInner>, shard_id: usize, generation: u64) -> Joi
     };
     std::thread::Builder::new()
         .name(format!("vlsa-shard-{shard_id}"))
-        .spawn(move || worker_loop(&ctx, &batcher))
+        .spawn(move || worker_loop(&ctx, &queue))
         .expect("spawn shard worker")
 }
 
@@ -617,20 +622,31 @@ fn spawn_worker(inner: &Arc<PoolInner>, shard_id: usize, generation: u64) -> Joi
 fn supervisor_loop(inner: &Arc<PoolInner>) {
     let poll = inner.config.supervisor.poll;
     let wedge_ms = inner.config.supervisor.wedge_timeout.as_millis() as u64;
+    // When each shard was first seen with work pending. An idle worker
+    // blocks on its empty queue without a heartbeat, so a stall counts
+    // from the later of its last beat and the arrival of work — else a
+    // job landing on a long-idle shard would look wedged before the
+    // worker could wake for it.
+    let mut pending_since: Vec<Option<u64>> = vec![None; inner.shards.len()];
     while !inner.closing.load(Ordering::Relaxed) {
         std::thread::sleep(poll);
-        for shard_id in 0..inner.shards.len() {
+        for (shard_id, (shard, since)) in inner.shards.iter().zip(&mut pending_since).enumerate() {
             if inner.closing.load(Ordering::Relaxed) {
                 return;
             }
-            let shard = &inner.shards[shard_id];
             let dead = !shard.health.alive.load(Ordering::SeqCst);
             let pending =
                 shard.health.in_flight.load(Ordering::Relaxed) > 0 || !shard.queue.is_empty();
             let now_ms = inner.epoch.elapsed().as_millis() as u64;
-            let stalled_ms =
-                now_ms.saturating_sub(shard.health.last_progress_ms.load(Ordering::Relaxed));
-            let wedged = !dead && pending && stalled_ms > wedge_ms;
+            *since = match (pending, *since) {
+                (false, _) => None,
+                (true, since) => Some(since.unwrap_or(now_ms)),
+            };
+            let wedged = !dead
+                && since.is_some_and(|since| {
+                    let last_beat = shard.health.last_progress_ms.load(Ordering::Relaxed);
+                    now_ms.saturating_sub(last_beat.max(since)) > wedge_ms
+                });
             if dead || wedged {
                 restart_shard(inner, shard_id, dead);
             }
@@ -657,15 +673,11 @@ fn restart_shard(inner: &Arc<PoolInner>, shard_id: usize, dead: bool) {
         }
     }
     // Evacuate queued (not-yet-started) jobs into typed Retryable
-    // answers so accepted work is never silently lost.
+    // answers so accepted work is never silently lost. The restart is
+    // accounted before any answer goes out: a client holding a
+    // Retryable frame must see it counted.
     let drained = shard.queue.drain_now();
     let drained_n = drained.len() as u64;
-    for job in drained {
-        let frame = Frame::Error(
-            ProtocolError::Retryable(format!("shard {shard_id} worker restarted")).to_frame(),
-        );
-        let _ = job.reply.send(Reply { frame, trace: None });
-    }
     shard.stats.restarts.fetch_add(1, Ordering::Relaxed);
     shard
         .stats
@@ -708,6 +720,12 @@ fn restart_shard(inner: &Arc<PoolInner>, shard_id: usize, dead: bool) {
             deadline_exceeded: 0,
             retryable_drained: drained_n,
         });
+    }
+    for job in drained {
+        let frame = Frame::Error(
+            ProtocolError::Retryable(format!("shard {shard_id} worker restarted")).to_frame(),
+        );
+        let _ = job.reply.send(Reply { frame, trace: None });
     }
     // Fresh heartbeat so the replacement is not instantly "wedged".
     shard.health.in_flight.store(0, Ordering::Relaxed);
@@ -793,9 +811,16 @@ impl WorkerCtx {
 
     /// Answers jobs this (deposed) worker holds with typed `Retryable`
     /// frames — it no longer owns the shard, and the jobs were not
-    /// executed.
+    /// executed. The refusals are counted before they are sent.
     fn refuse_jobs(&self, jobs: Vec<Job>) {
         let n = jobs.len() as u64;
+        self.stats.retryable.fetch_add(n, Ordering::Relaxed);
+        if vlsa_telemetry::is_enabled() {
+            vlsa_telemetry::recorder().counter(metric::RETRYABLE).add(n);
+        }
+        if let Some(slo) = &self.hooks.slo {
+            slo.record_retryable(n);
+        }
         for job in jobs {
             let frame = Frame::Error(
                 ProtocolError::Retryable(format!(
@@ -805,13 +830,6 @@ impl WorkerCtx {
                 .to_frame(),
             );
             let _ = job.reply.send(Reply { frame, trace: None });
-        }
-        self.stats.retryable.fetch_add(n, Ordering::Relaxed);
-        if vlsa_telemetry::is_enabled() {
-            vlsa_telemetry::recorder().counter(metric::RETRYABLE).add(n);
-        }
-        if let Some(slo) = &self.hooks.slo {
-            slo.record_retryable(n);
         }
         self.health.in_flight.store(0, Ordering::Relaxed);
     }
@@ -832,7 +850,6 @@ impl WorkerCtx {
             }
             .to_frame(),
         );
-        let _ = job.reply.send(Reply { frame, trace: None });
         self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = metrics {
             m.deadline_exceeded.incr();
@@ -840,10 +857,11 @@ impl WorkerCtx {
         if let Some(slo) = &self.hooks.slo {
             slo.record_deadline_exceeded(1);
         }
+        let _ = job.reply.send(Reply { frame, trace: None });
     }
 }
 
-fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
+fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
     let shard_id = ctx.shard_id;
     let config = &ctx.config;
     let stats = &ctx.stats;
@@ -891,7 +909,7 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
     loop {
         let (jobs, formation_start) = {
             let _in_wait = stack.push(f_wait);
-            batcher.next_batch_timed()
+            queue.pop_batch_timed(config.max_batch_ops, |job| job.request.ops.len().max(1))
         };
         if jobs.is_empty() {
             break; // closed and drained
@@ -1023,10 +1041,11 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
                 })
                 .collect();
             // Phase decomposition: queue (enqueue → formation start),
-            // linger (formation start → batch dispatch), service (batch
-            // dispatch → this job computed — head-of-batch wait counts
-            // as service of the batch). Phases are contiguous so they
-            // sum to the request's server-side residency.
+            // linger, i.e. batch formation (formation start → batch
+            // dispatch: taking the queued jobs and the deadline check),
+            // service (batch dispatch → this job computed — head-of-batch
+            // wait counts as service of the batch). Phases are contiguous
+            // so they sum to the request's server-side residency.
             let trace = job.trace.map(|jt| {
                 let linger_from = formation_start.max(job.enqueued);
                 RequestTrace {
@@ -1079,6 +1098,19 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
             }
         }
 
+        // Latch degradation before answering: a reply served by the
+        // exact path implies the shard already counts as degraded.
+        let degraded_now = ctx.degrade.load(Ordering::Relaxed) || pipeline.is_degraded();
+        if degraded_now && !was_degraded {
+            was_degraded = true;
+            stats.degraded.store(true, Ordering::Relaxed);
+            ctx.degraded_total.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(m) = &metrics {
+            m.degraded_shards
+                .set(ctx.degraded_total.load(Ordering::Relaxed) as f64);
+        }
+
         // Replies go out only once the modeled device is done, so the
         // measured latency includes the modeled service time. A reply
         // whose request expired during compute/pacing still gets its
@@ -1128,13 +1160,6 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
         }
         ctx.health.in_flight.store(0, Ordering::Relaxed);
         ctx.health.touch(ctx.epoch);
-
-        let degraded_now = ctx.degrade.load(Ordering::Relaxed) || pipeline.is_degraded();
-        if degraded_now && !was_degraded {
-            was_degraded = true;
-            stats.degraded.store(true, Ordering::Relaxed);
-            ctx.degraded_total.fetch_add(1, Ordering::Relaxed);
-        }
 
         // Feed the SLO accountant: availability good = every request
         // answered (sheds arrive via the submit path); latency verdicts
@@ -1195,14 +1220,12 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
         if let Some(m) = &metrics {
             m.batches.incr();
             m.batch_ops.record(batch_ops);
-            m.queue_depth.set(batcher.queue().len() as f64);
+            m.queue_depth.set(queue.len() as f64);
             for (gauge, q) in [(&m.p50, 0.5), (&m.p99, 0.99), (&m.p999, 0.999)] {
                 if let Some(v) = m.latency.quantile(q) {
                     gauge.set(v);
                 }
             }
-            m.degraded_shards
-                .set(ctx.degraded_total.load(Ordering::Relaxed) as f64);
         }
         if let Some(rec) = &spans {
             rec.record(
@@ -1299,20 +1322,17 @@ mod tests {
     #[test]
     fn full_queue_sheds_with_a_busy_frame() {
         // One shard with a tiny queue and slow modeled pacing: a fat
-        // first batch parks the worker in its pacing sleep (max_ops 1
-        // keeps the batcher from lingering and draining the queue for
-        // us), and the fill loop below then overfills the 2-deep queue
-        // while the worker is provably not consuming.
+        // first batch parks the worker in its pacing sleep, and the
+        // fill loop below then overfills the 2-deep queue while the
+        // worker is provably not consuming (max_batch_ops 1 keeps each
+        // later batch to one job).
         let pool = ShardPool::start(
             &ShardConfig {
                 nbits: 32,
                 window: 16,
                 queue_capacity: 2,
                 cycle_ns: 1_000_000,
-                batch: BatchPolicy {
-                    max_ops: 1,
-                    linger: Duration::ZERO,
-                },
+                max_batch_ops: 1,
                 ..ShardConfig::default()
             },
             1,
@@ -1563,10 +1583,7 @@ mod tests {
                 nbits: 32,
                 window: 16,
                 cycle_ns: 1_000_000, // 1 ms per cycle
-                batch: BatchPolicy {
-                    max_ops: 1,
-                    linger: Duration::ZERO,
-                },
+                max_batch_ops: 1,
                 ..ShardConfig::default()
             },
             1,

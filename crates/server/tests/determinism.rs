@@ -9,7 +9,6 @@
 //! shards, batches, and threads.
 
 use std::sync::mpsc::channel;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -19,8 +18,8 @@ use vlsa_pipeline::{
     VlsaPipeline,
 };
 use vlsa_server::{
-    AddBatch, BatchPolicy, Frame, OpResult, Response, ServerConfig, ShardConfig, ShardPool,
-    VlsaClient, VlsaServer,
+    AddBatch, Frame, OpResult, Response, ServerConfig, ShardConfig, ShardPool, VlsaClient,
+    VlsaServer,
 };
 
 const NBITS: usize = 32;
@@ -57,10 +56,7 @@ fn shard_config() -> ShardConfig {
         nbits: NBITS,
         window: WINDOW,
         queue_capacity: 64,
-        batch: BatchPolicy {
-            max_ops: 256,
-            linger: Duration::from_micros(200),
-        },
+        max_batch_ops: 256,
         ..ShardConfig::default()
     }
 }

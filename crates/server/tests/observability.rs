@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, SeedableRng};
 use vlsa_pipeline::{adversarial_operands, random_operands};
@@ -95,9 +95,18 @@ fn an_induced_p999_outlier_is_attributable_end_to_end() {
     let timing = sums.timing.expect("traced request echoes timing");
     assert_eq!(timing.trace_id, HEAVY_TRACE_ID);
 
+    // The server records a trace only after writing its reply, so the
+    // heavy trace can land just after the client has read the answer.
+    // Wait (bounded) for it before inspecting exemplars.
+    let obs = server.obs();
+    let visible_by = Instant::now() + Duration::from_secs(5);
+    while obs.lookup(HEAVY_TRACE_ID).is_none() {
+        assert!(Instant::now() < visible_by, "heavy trace never recorded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // Step 1 — histogram bucket → exemplar: the worst retained
     // exemplar across all shards names the heavy request.
-    let obs = server.obs();
     let worst = (0..obs.shard_count())
         .filter_map(|s| obs.exemplars(s).worst())
         .max_by_key(|ex| ex.value)

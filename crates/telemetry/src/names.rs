@@ -105,7 +105,7 @@ pub mod server {
     pub const PROTOCOL_ERRORS: &str = "vlsa.server.protocol_errors";
     /// Client connections accepted.
     pub const CONNECTIONS: &str = "vlsa.server.connections";
-    /// Batches flushed by the per-shard adaptive batcher.
+    /// Batches run by the shard workers (greedy batching).
     pub const BATCHES: &str = "vlsa.server.batches";
     /// Operand pairs per flushed batch (histogram).
     pub const BATCH_OPS: &str = "vlsa.server.batch_ops";

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! — where `queue_wait` is the time spent in the shard queue before the
-//! batcher began forming the batch, `batch_linger` is the adaptive
-//! batcher's forming/linger window, `service` is the
+//! worker began forming the batch, `batch_linger` is batch formation
+//! (taking the already-queued jobs — batching is greedy and never waits
+//! for stragglers; the phase keeps its historical name), `service` is the
 //! `ResilientPipeline` compute (whose recovery share is visible through
 //! the recorded `stalls`/`cycles`), `device_pace` is the modeled-device
 //! pacing the batch waited out, and `write_back` is the response
@@ -59,7 +60,8 @@ pub struct RequestTrace {
     pub start_us: u64,
     /// Time in the shard queue before batch formation began.
     pub queue_us: u32,
-    /// Time inside the adaptive batcher's forming/linger window.
+    /// Batch formation: from when the worker began taking queued jobs
+    /// to batch dispatch (no wait for stragglers: batching is greedy).
     pub linger_us: u32,
     /// `ResilientPipeline` compute time for this request's ops.
     pub service_us: u32,
