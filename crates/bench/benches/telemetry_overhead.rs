@@ -7,8 +7,9 @@
 //! * `uninstrumented`: the raw speculative-add arithmetic with no
 //!   telemetry call at all (the pre-telemetry baseline, inlined here).
 //! * `disabled`: `SpeculativeAdder::add_u64`, telemetry compiled in but
-//!   globally disabled — the default state. Must sit within noise of
-//!   `uninstrumented` (the only extra work is one relaxed atomic load).
+//!   no scope live anywhere — the default state. Must sit within noise
+//!   of `uninstrumented` (the only extra work is one relaxed atomic
+//!   load).
 //! * `enabled`: the same adds under a `ScopedRecorder`, paying for the
 //!   real counter updates.
 //!

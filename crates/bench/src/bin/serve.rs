@@ -101,8 +101,10 @@ fn main() {
         })
     });
 
-    // The scrape endpoint reads the global recorder, so install it for
-    // the server's lifetime: every counter in `vlsa.server.*` is live.
+    // The server captures the registry in scope on this thread and
+    // hands it to every thread it spawns; the scrape endpoint serves it.
+    // Keep it in scope for the server's lifetime: every counter in
+    // `vlsa.server.*` is live.
     let _telemetry = ScopedRecorder::install();
     let mut server = VlsaServer::start(ServerConfig {
         addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),

@@ -3,7 +3,7 @@
 //!
 //! Each builder runs a representative experiment under a
 //! [`ScopedRecorder`] so the report captures exactly that experiment's
-//! instrumentation, regardless of what else the process did.
+//! instrumentation, regardless of what other threads record.
 
 use crate::report::Report;
 use crate::{paper_window, synthesize, PAPER_ACCURACY};
@@ -231,21 +231,10 @@ pub const PIPELINE_REPORT_FIELDS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use vlsa_telemetry::Json;
-
-    /// Builders install scoped recorders (process-global): serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn pipeline_report_round_trips_with_required_fields() {
-        let _guard = serial();
         let report = pipeline_report(20_000, 5_000, 64);
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("valid JSON");
@@ -370,7 +359,6 @@ mod tests {
 
     #[test]
     fn sim_report_round_trips_with_profile() {
-        let _guard = serial();
         let report = sim_report(32, 130, 7);
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("valid JSON");

@@ -184,10 +184,6 @@ pub fn run_monitor_demo(cfg: &MonitorDemoConfig) -> MonitorDemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Scoped recorders are process-global: serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     fn small() -> MonitorDemoConfig {
         MonitorDemoConfig {
@@ -201,7 +197,6 @@ mod tests {
 
     #[test]
     fn demo_tells_the_drift_story_in_all_three_surfaces() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let demo = run_monitor_demo(&small());
         assert_eq!(demo.uniform_alerts, 0);
         assert!(demo.biased_alerts > 0);

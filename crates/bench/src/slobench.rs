@@ -2,8 +2,8 @@
 //! SLO observation.
 //!
 //! The bench spawns two `serve` subprocesses (separate OS processes,
-//! so each has its own global telemetry recorder — the only honest way
-//! to exercise fleet merging), points an in-process [`Aggregator`] at
+//! so each has its own telemetry registry — the only honest way to
+//! exercise fleet merging), points an in-process [`Aggregator`] at
 //! their scrape endpoints, and drives four load phases:
 //!
 //! 1. **nominal** — paced traffic well inside capacity; the fleet must

@@ -374,16 +374,6 @@ pub fn replay(doc: &Json) -> Result<ReplayReport, TraceReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `ScopedTrace` is process-global: serialize capture tests.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     fn cfg() -> TraceConfig {
         // Narrow window so the stream actually errs.
@@ -397,7 +387,6 @@ mod tests {
 
     #[test]
     fn capture_is_complete_and_replayable() {
-        let _guard = serial();
         let run = capture_run(&cfg());
         assert_eq!(run.dropped, 0);
         assert!(run.errors > 0, "window 6 over 400 random ops must err");
@@ -410,7 +399,6 @@ mod tests {
 
     #[test]
     fn replay_detects_tampering() {
-        let _guard = serial();
         let run = capture_run(&cfg());
         // Corrupt the recorded error count.
         let meta = run.doc.get("vlsa").expect("meta").clone();
@@ -422,7 +410,6 @@ mod tests {
 
     #[test]
     fn replay_requires_metadata() {
-        let _guard = serial();
         let run = capture_run(&cfg());
         let doc = run.doc.clone().set("vlsa", Json::obj());
         assert_eq!(
@@ -435,7 +422,6 @@ mod tests {
 
     #[test]
     fn resilient_capture_tells_the_degrade_story() {
-        let _guard = serial();
         // 8-bit window-4: 6.25% of random pairs err, so the suppressed
         // detector forces escalations fast and the degrade latch trips.
         let run = capture_resilient_run(&TraceConfig {

@@ -2,23 +2,12 @@
 //! `trace.json` text the `trace` binary writes, parsed back and
 //! replayed, must reproduce every sum and error flag bit-for-bit.
 
-use std::sync::Mutex;
 use vlsa_bench::tracebin::{capture_run, capture_vcd, replay, TraceConfig, VcdConfig};
 use vlsa_sim::VcdNets;
 use vlsa_telemetry::Json;
 
-/// `ScopedTrace` redirection is process-global: serialize captures.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn trace_round_trips_through_text() {
-    let _guard = serial();
     // Full 64-bit operands exercise the above-2^53 string encoding of
     // span arguments; window 8 errs often enough to cover both paths.
     let cfg = TraceConfig {

@@ -8,16 +8,15 @@
 //! - `vlsa.core.false_positives` — detector fired but the speculation
 //!   was correct (`error_detected && speculative == exact`)
 //!
-//! Everything is gated on [`vlsa_telemetry::is_enabled`], so the
-//! disabled cost is one relaxed atomic load per addition.
+//! Everything is gated on [`vlsa_telemetry::recorder`], so the cost
+//! while no scope is live is one relaxed atomic load per addition.
 
 /// Records one speculative addition's outcome.
 #[inline]
 pub(crate) fn record_add(error_detected: bool, correct: bool) {
-    if !vlsa_telemetry::is_enabled() {
+    let Some(recorder) = vlsa_telemetry::recorder() else {
         return;
-    }
-    let recorder = vlsa_telemetry::recorder();
+    };
     recorder.counter("vlsa.core.adds").incr();
     if error_detected {
         recorder.counter("vlsa.core.detector_fires").incr();

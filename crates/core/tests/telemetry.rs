@@ -1,24 +1,13 @@
 //! Exact-count checks for the `vlsa.core.*` speculation metrics.
 //!
-//! These live in their own integration-test binary so no other test in
-//! the crate can run adds concurrently and skew the counters; within
-//! the binary a mutex serializes the telemetry scopes.
+//! Each test records into its own thread's scope, so tests running in
+//! parallel never see each other's adds.
 
-use std::sync::Mutex;
 use vlsa_core::SpeculativeAdder;
 use vlsa_telemetry::ScopedRecorder;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn add_outcomes_are_counted_exactly() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     // Clean add: no detection, correct.
@@ -43,7 +32,6 @@ fn add_outcomes_are_counted_exactly() {
 
 #[test]
 fn wide_adds_record_too() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     let adder = SpeculativeAdder::new(128, 128).expect("valid");
@@ -57,20 +45,21 @@ fn wide_adds_record_too() {
 
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let _guard = serial();
-    assert!(!vlsa_telemetry::is_enabled());
-    let before = vlsa_telemetry::recorder().counter_value("vlsa.core.adds");
-    let adder = SpeculativeAdder::new(8, 3).expect("valid");
-    let _ = adder.add_u64(3, 4);
-    assert_eq!(
-        vlsa_telemetry::recorder().counter_value("vlsa.core.adds"),
-        before
-    );
+    // A scope live on this thread sees nothing of a thread without one.
+    let scope = ScopedRecorder::install();
+    std::thread::spawn(|| {
+        assert!(!vlsa_telemetry::is_enabled());
+        assert!(vlsa_telemetry::recorder().is_none());
+        let adder = SpeculativeAdder::new(8, 3).expect("valid");
+        let _ = adder.add_u64(3, 4);
+    })
+    .join()
+    .expect("unscoped thread");
+    assert_eq!(scope.registry().counter_value("vlsa.core.adds"), 0);
 }
 
 #[test]
 fn false_positive_rate_sits_between_error_and_detection_probability() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     use rand::{Rng, SeedableRng};

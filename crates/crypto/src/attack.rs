@@ -59,9 +59,6 @@ impl AttackOutcome {
     }
 }
 
-/// How often [`run_attack`] emits a progress event (in candidates).
-const PROGRESS_EVERY: usize = 16;
-
 /// Runs the ciphertext-only attack: decrypts `ciphertext` under every
 /// candidate key with `adder` and ranks candidates by English score.
 ///
@@ -69,18 +66,17 @@ const PROGRESS_EVERY: usize = 16;
 ///
 /// When telemetry is enabled, counts candidates, blocks tried, and
 /// mis-decryptions (candidate decryptions corrupted by at least one
-/// speculative adder error) under `vlsa.crypto.*`, and emits progress
-/// events from source `vlsa.crypto.attack` every few candidates.
+/// speculative adder error) under `vlsa.crypto.*`.
 pub fn run_attack<A: Adder32 + ?Sized>(
     ciphertext: &[u64],
     candidates: &[[u32; 4]],
     rounds: u32,
     adder: &mut A,
 ) -> AttackOutcome {
-    let telemetry_on = vlsa_telemetry::is_enabled();
+    let telemetry = vlsa_telemetry::recorder();
     let scorer = EnglishScorer::new();
     let mut ranking: Vec<KeyScore> = Vec::with_capacity(candidates.len());
-    for (i, &key) in candidates.iter().enumerate() {
+    for &key in candidates {
         let errors_before = adder.errors();
         let cipher = ArxCipher::new(key, rounds);
         let plain = cipher.decrypt_bytes(ciphertext, adder);
@@ -88,21 +84,13 @@ pub fn run_attack<A: Adder32 + ?Sized>(
             key,
             score: scorer.score(&plain),
         });
-        if telemetry_on {
-            let recorder = vlsa_telemetry::recorder();
+        if let Some(recorder) = &telemetry {
             recorder.counter("vlsa.crypto.candidates").incr();
             recorder
                 .counter("vlsa.crypto.blocks_tried")
                 .add(ciphertext.len() as u64);
             if adder.errors() > errors_before {
                 recorder.counter("vlsa.crypto.mis_decryptions").incr();
-            }
-            if (i + 1) % PROGRESS_EVERY == 0 || i + 1 == candidates.len() {
-                vlsa_telemetry::emit(vlsa_telemetry::Event::Progress {
-                    source: "vlsa.crypto.attack".to_string(),
-                    done: (i + 1) as u64,
-                    total: candidates.len() as u64,
-                });
             }
         }
     }

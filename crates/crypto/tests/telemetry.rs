@@ -1,17 +1,8 @@
-//! Exact-count checks for the `vlsa.crypto.*` attack metrics and
-//! progress events, isolated in their own test binary.
+//! Exact-count checks for the `vlsa.crypto.*` attack metrics. Each test
+//! records into its own thread's scope.
 
-use std::sync::{Arc, Mutex};
 use vlsa_crypto::{candidate_keys, run_attack, ArxCipher, ExactAdder32, SAMPLE_CORPUS};
-use vlsa_telemetry::{Event, ScopedRecorder, Sink};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use vlsa_telemetry::ScopedRecorder;
 
 const KEY: [u32; 4] = [0xFEED_F00D, 0xCAFE_BABE, 0x0BAD_F00D, 0xDEAD_0F15];
 const ROUNDS: u32 = 12;
@@ -22,24 +13,9 @@ fn ciphertext() -> Vec<u64> {
     cipher.encrypt_bytes(SAMPLE_CORPUS.as_bytes(), &mut adder)
 }
 
-/// Captures every event it receives.
-#[derive(Default)]
-struct CapturingSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl Sink for CapturingSink {
-    fn event(&self, event: &Event) {
-        self.events.lock().expect("sink lock").push(event.clone());
-    }
-}
-
 #[test]
-fn attack_counts_candidates_blocks_and_progress() {
-    let _guard = serial();
+fn attack_counts_candidates_and_blocks() {
     let scope = ScopedRecorder::install();
-    let sink = Arc::new(CapturingSink::default());
-    let previous = vlsa_telemetry::set_sink(Arc::clone(&sink) as Arc<dyn Sink>);
 
     let ct = ciphertext();
     let candidates = candidate_keys(KEY, 5); // 32 candidates
@@ -55,37 +31,10 @@ fn attack_counts_candidates_blocks_and_progress() {
     );
     // The exact adder never errs, so no decryption was corrupted.
     assert_eq!(registry.counter_value("vlsa.crypto.mis_decryptions"), 0);
-
-    // 32 candidates with an event every 16: two progress events, the
-    // last one reporting completion.
-    let events = sink.events.lock().expect("sink lock");
-    assert_eq!(events.len(), 2);
-    match &events[1] {
-        Event::Progress {
-            source,
-            done,
-            total,
-        } => {
-            assert_eq!(source, "vlsa.crypto.attack");
-            assert_eq!((*done, *total), (32, 32));
-        }
-        other => panic!("unexpected event {other:?}"),
-    }
-
-    drop(events);
-    match previous {
-        Some(p) => {
-            vlsa_telemetry::set_sink(p);
-        }
-        None => {
-            vlsa_telemetry::clear_sink();
-        }
-    }
 }
 
 #[test]
 fn speculative_adder_mis_decryptions_are_counted() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     let ct = ciphertext();
@@ -104,14 +53,15 @@ fn speculative_adder_mis_decryptions_are_counted() {
 
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let _guard = serial();
-    assert!(!vlsa_telemetry::is_enabled());
-    let before = vlsa_telemetry::recorder().counter_value("vlsa.crypto.candidates");
-    let ct = ciphertext();
-    let mut adder = ExactAdder32::new();
-    run_attack(&ct, &candidate_keys(KEY, 1), ROUNDS, &mut adder);
-    assert_eq!(
-        vlsa_telemetry::recorder().counter_value("vlsa.crypto.candidates"),
-        before
-    );
+    // A scope live on this thread sees nothing of a thread without one.
+    let scope = ScopedRecorder::install();
+    std::thread::spawn(|| {
+        assert!(!vlsa_telemetry::is_enabled());
+        let ct = ciphertext();
+        let mut adder = ExactAdder32::new();
+        run_attack(&ct, &candidate_keys(KEY, 1), ROUNDS, &mut adder);
+    })
+    .join()
+    .expect("unscoped thread");
+    assert_eq!(scope.registry().counter_value("vlsa.crypto.candidates"), 0);
 }

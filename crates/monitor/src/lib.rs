@@ -15,8 +15,8 @@
 //!   spectrum against the `A_n(k)` recurrence ([`SpectrumModel`]) and a
 //!   one-sided Poisson CUSUM on the stall count ([`CusumTracker`]).
 //!   Drift raises typed [`Alert`]s, bridged into `vlsa-telemetry`
-//!   (counters, gauges, an event-sink note) and `vlsa-trace` (instant
-//!   spans on the monitor track), and can trip a shared degrade flag
+//!   (counters and gauges) and `vlsa-trace` (instant spans on the
+//!   monitor track), and can trip a shared degrade flag
 //!   that `ResilientPipeline` polls to pre-emptively fall back to the
 //!   exact adder.
 //! - **Prometheus exposition** ([`exposition`]): the whole telemetry

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use vlsa_runstats::{longest_one_run_u64, prob_longest_run_le};
 use vlsa_telemetry::names::monitor as metric;
-use vlsa_telemetry::{Event, Json};
+use vlsa_telemetry::Json;
 use vlsa_trace::{names as span, TraceEvent};
 
 use crate::alert::{Alert, AlertKind, TraceExemplars};
@@ -373,8 +373,7 @@ impl ConformanceMonitor {
         if let Some(signal) = &self.degrade_signal {
             signal.store(true, Ordering::Relaxed);
         }
-        if vlsa_telemetry::is_enabled() {
-            let registry = vlsa_telemetry::recorder();
+        if let Some(registry) = vlsa_telemetry::recorder() {
             registry.counter(metric::ALERTS).incr();
             registry
                 .counter(match alert.kind {
@@ -382,10 +381,6 @@ impl ConformanceMonitor {
                     AlertKind::ErrorRateDrift { .. } => metric::ERROR_RATE_ALERTS,
                 })
                 .incr();
-            vlsa_telemetry::emit(Event::Note {
-                source: "vlsa.monitor".to_string(),
-                text: alert.to_string(),
-            });
         }
         if vlsa_trace::is_enabled() {
             let evidence = match alert.kind {
@@ -404,10 +399,9 @@ impl ConformanceMonitor {
     }
 
     fn flush_telemetry(&self, report: &WindowReport) {
-        if !vlsa_telemetry::is_enabled() {
+        let Some(registry) = vlsa_telemetry::recorder() else {
             return;
-        }
-        let registry = vlsa_telemetry::recorder();
+        };
         registry.counter(metric::OPS).add(report.ops);
         registry.counter(metric::WINDOWS).incr();
         registry.gauge(metric::STALL_RATE).set(report.stall_rate);
@@ -430,16 +424,6 @@ impl ConformanceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Telemetry's registry redirection is process-global, so tests
-    /// that feed a monitor must not interleave with the one that
-    /// installs a [`vlsa_telemetry::ScopedRecorder`].
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn uniform_stream(monitor: &mut ConformanceMonitor, ops: u64, seed: u64) {
         // A splitmix-style generator is plenty for uniform operands.
@@ -462,7 +446,6 @@ mod tests {
 
     #[test]
     fn uniform_stream_raises_no_alerts() {
-        let _guard = serial();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         uniform_stream(&mut monitor, 8 * 4096, 0x5eed);
         monitor.finish();
@@ -478,7 +461,6 @@ mod tests {
 
     #[test]
     fn adversarial_stream_raises_both_alert_kinds() {
-        let _guard = serial();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         // Every operand pair propagates across the full width: each op
         // stalls and the spectrum collapses onto run length 64.
@@ -493,7 +475,6 @@ mod tests {
 
     #[test]
     fn alerts_trip_the_degrade_signal() {
-        let _guard = serial();
         let signal = Arc::new(AtomicBool::new(false));
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         monitor.set_degrade_signal(Arc::clone(&signal));
@@ -510,7 +491,6 @@ mod tests {
 
     #[test]
     fn partial_windows_are_flushed_without_tests() {
-        let _guard = serial();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         uniform_stream(&mut monitor, 100, 7);
         let windows = monitor.finish();
@@ -522,7 +502,6 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_the_full_state() {
-        let _guard = serial();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         uniform_stream(&mut monitor, 4096, 3);
         monitor.finish();
@@ -542,7 +521,6 @@ mod tests {
 
     #[test]
     fn alerts_carry_the_windows_trace_exemplars() {
-        let _guard = serial();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12));
         // Sampled requests noted during the window ride along on any
         // alert the window raises; the next window starts clean.
@@ -570,7 +548,6 @@ mod tests {
 
     #[test]
     fn window_close_flushes_telemetry() {
-        let _guard = serial();
         let scope = vlsa_telemetry::ScopedRecorder::install();
         let mut monitor = ConformanceMonitor::new(MonitorConfig::new(64, 12).with_window_ops(4096));
         uniform_stream(&mut monitor, 4096, 9);

@@ -208,8 +208,7 @@ impl VlsaPipeline {
         operands: &[(u64, u64)],
         mut observe: F,
     ) -> PipelineTrace {
-        let telemetry = vlsa_telemetry::is_enabled().then(|| {
-            let recorder = vlsa_telemetry::recorder();
+        let telemetry = vlsa_telemetry::recorder().map(|recorder| {
             (
                 recorder.histogram(
                     vlsa_telemetry::names::pipeline::OP_LATENCY_CYCLES,
@@ -219,6 +218,7 @@ impl VlsaPipeline {
                     vlsa_telemetry::names::pipeline::STALL_RUN_OPS,
                     vlsa_telemetry::DEFAULT_BUCKETS,
                 ),
+                recorder,
             )
         });
         let nbits = self.adder.nbits();
@@ -234,7 +234,7 @@ impl VlsaPipeline {
         for (idx, &(a, b)) in operands.iter().enumerate() {
             let r = self.adder.add_u64(a, b);
             cycle += 1;
-            if let Some((latency, stall_runs)) = &telemetry {
+            if let Some((latency, stall_runs, _)) = &telemetry {
                 latency.record(if r.error_detected { 2 } else { 1 });
                 if r.error_detected {
                     stall_run += 1;
@@ -309,11 +309,10 @@ impl VlsaPipeline {
             }
             trace.operations += 1;
         }
-        if let Some((_, stall_runs)) = &telemetry {
+        if let Some((_, stall_runs, recorder)) = &telemetry {
             if stall_run > 0 {
                 stall_runs.record(stall_run);
             }
-            let recorder = vlsa_telemetry::recorder();
             recorder
                 .counter(vlsa_telemetry::names::pipeline::OPS)
                 .add(trace.operations);

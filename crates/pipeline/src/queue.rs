@@ -200,8 +200,9 @@ impl VlsaPipeline {
         }
         // Resolve instrument handles once; the per-cycle path then pays
         // only atomic updates.
-        let wait_hist = vlsa_telemetry::is_enabled().then(|| {
-            vlsa_telemetry::recorder().histogram(
+        let recorder = vlsa_telemetry::recorder();
+        let wait_hist = recorder.as_ref().map(|recorder| {
+            recorder.histogram(
                 "vlsa.pipeline.queue_wait_cycles",
                 vlsa_telemetry::DEFAULT_BUCKETS,
             )
@@ -320,8 +321,7 @@ impl VlsaPipeline {
                 }
             }
         }
-        if wait_hist.is_some() {
-            let recorder = vlsa_telemetry::recorder();
+        if let Some(recorder) = recorder {
             recorder
                 .counter("vlsa.pipeline.queue_arrivals")
                 .add(stats.arrivals);

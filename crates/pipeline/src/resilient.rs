@@ -391,7 +391,7 @@ impl ResilientPipeline {
         } else {
             (1u64 << nbits) - 1
         };
-        let telemetry_on = vlsa_telemetry::is_enabled();
+        let telemetry = vlsa_telemetry::recorder();
         let spans = vlsa_trace::recorder();
         let run_start = self.cycle;
         let mut stats = ResilientStats::default();
@@ -626,8 +626,7 @@ impl ResilientPipeline {
         }
 
         stats.cycles = self.cycle - run_start;
-        if telemetry_on {
-            let rec = vlsa_telemetry::recorder();
+        if let Some(rec) = telemetry {
             rec.counter(metric::OPS).add(stats.ops);
             rec.counter(metric::RESIDUE_CHECKS)
                 .add(stats.residue_checks);

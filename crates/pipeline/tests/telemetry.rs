@@ -1,18 +1,9 @@
-//! Exact-count checks for the `vlsa.pipeline.*` metrics, isolated in
-//! their own test binary so no concurrent test skews the registries.
+//! Exact-count checks for the `vlsa.pipeline.*` metrics. Each test
+//! records into its own thread's scope.
 
-use std::sync::Mutex;
 use vlsa_core::SpeculativeAdder;
 use vlsa_pipeline::{adversarial_operands, QueueConfig, VlsaPipeline};
 use vlsa_telemetry::{Json, ScopedRecorder};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn pipeline(nbits: usize, window: usize) -> VlsaPipeline {
     VlsaPipeline::new(SpeculativeAdder::new(nbits, window).expect("valid"))
@@ -20,7 +11,6 @@ fn pipeline(nbits: usize, window: usize) -> VlsaPipeline {
 
 #[test]
 fn run_records_latency_histogram_and_stall_runs() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     // Two clean ops, then three back-to-back stalls, then one clean op.
@@ -52,7 +42,6 @@ fn run_records_latency_histogram_and_stall_runs() {
 
 #[test]
 fn trailing_stall_run_is_flushed() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
     pipeline(16, 4).run(&adversarial_operands(16, 2));
     let registry = scope.registry();
@@ -66,7 +55,6 @@ fn trailing_stall_run_is_flushed() {
 
 #[test]
 fn queued_run_records_waits_drops_and_occupancy() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     use rand::SeedableRng;
@@ -122,12 +110,13 @@ fn queued_run_records_waits_drops_and_occupancy() {
 
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let _guard = serial();
-    assert!(!vlsa_telemetry::is_enabled());
-    let before = vlsa_telemetry::recorder().counter_value("vlsa.pipeline.ops");
-    pipeline(16, 4).run(&[(1, 2), (3, 4)]);
-    assert_eq!(
-        vlsa_telemetry::recorder().counter_value("vlsa.pipeline.ops"),
-        before
-    );
+    // A scope live on this thread sees nothing of a thread without one.
+    let scope = ScopedRecorder::install();
+    std::thread::spawn(|| {
+        assert!(!vlsa_telemetry::is_enabled());
+        pipeline(16, 4).run(&[(1, 2), (3, 4)]);
+    })
+    .join()
+    .expect("unscoped thread");
+    assert_eq!(scope.registry().counter_value("vlsa.pipeline.ops"), 0);
 }

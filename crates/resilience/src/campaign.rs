@@ -439,6 +439,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
             .map(|(i, f)| (i, f.as_slice()))
             .collect();
         let chunk_size = indexed.len().div_ceil(workers);
+        // Workers enter the caller's registry: whatever they record
+        // lands where a single-worker run would record it.
+        let telemetry = vlsa_telemetry::recorder();
         let results: Vec<Result<Vec<FaultOutcome>, SimulateError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = indexed
                 .chunks(chunk_size)
@@ -447,7 +450,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
                     let chunks = &chunks;
                     let goldens = &goldens;
                     let checker = &checker;
+                    let telemetry = telemetry.clone();
                     scope.spawn(move || {
+                        let _telemetry = telemetry.map(vlsa_telemetry::ScopedRecorder::enter);
                         slice
                             .iter()
                             .map(|&(fault_index, faults)| {
@@ -495,8 +500,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
         per_fault,
         baseline_detections,
     };
-    if vlsa_telemetry::is_enabled() {
-        let recorder = vlsa_telemetry::recorder();
+    if let Some(recorder) = vlsa_telemetry::recorder() {
         recorder
             .counter(vlsa_telemetry::names::sim::FAULTS_INJECTED)
             .add(result.fault_count as u64);
@@ -605,18 +609,35 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_result() {
-        let serial = run_campaign(&CampaignConfig {
-            workers: 1,
-            ..small_exhaustive()
-        })
-        .expect("serial");
-        let parallel = run_campaign(&CampaignConfig {
-            workers: 8,
-            ..small_exhaustive()
-        })
-        .expect("parallel");
+        // Each run records into its own scope, which the parallel run's
+        // workers enter: the counters must not depend on worker count.
+        let run = |workers| {
+            let scope = vlsa_telemetry::ScopedRecorder::install();
+            let result = run_campaign(&CampaignConfig {
+                workers,
+                ..small_exhaustive()
+            })
+            .expect("campaign");
+            let sim_counters: Vec<(String, u64)> = scope
+                .registry()
+                .counters()
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("vlsa.sim."))
+                .map(|(name, counter)| (name, counter.get()))
+                .collect();
+            (result, sim_counters)
+        };
+        let (serial, serial_counters) = run(1);
+        let (parallel, parallel_counters) = run(8);
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
+        assert!(
+            serial_counters
+                .iter()
+                .any(|(name, n)| name == "vlsa.sim.passes" && *n > 0),
+            "{serial_counters:?}"
+        );
+        assert_eq!(serial_counters, parallel_counters);
     }
 
     #[test]

@@ -217,10 +217,8 @@ impl EventLog {
         if limited && ring.window_count >= self.config.per_sec {
             drop(ring);
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            if vlsa_telemetry::is_enabled() {
-                vlsa_telemetry::recorder()
-                    .counter(metric::EVENTS_DROPPED)
-                    .incr();
+            if let Some(rec) = vlsa_telemetry::recorder() {
+                rec.counter(metric::EVENTS_DROPPED).incr();
             }
             return false;
         }
@@ -238,10 +236,8 @@ impl EventLog {
         ring.lines.push_back(line);
         drop(ring);
         self.emitted.fetch_add(1, Ordering::Relaxed);
-        if vlsa_telemetry::is_enabled() {
-            vlsa_telemetry::recorder()
-                .counter(metric::EVENTS_EMITTED)
-                .incr();
+        if let Some(rec) = vlsa_telemetry::recorder() {
+            rec.counter(metric::EVENTS_EMITTED).incr();
         }
         true
     }

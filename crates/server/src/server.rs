@@ -39,7 +39,7 @@ use vlsa_monitor::{
     exposition, percent_decode, query_param, AcceptLoop, HttpResponse, Route, ScrapeServer,
 };
 use vlsa_telemetry::names::{labeled_multi, recorded, server as metric};
-use vlsa_telemetry::Json;
+use vlsa_telemetry::{Json, Registry, ScopedRecorder};
 use vlsa_tsdb::{eval_range, parse_duration_us, range_response_json, Expr, QueryError};
 use vlsa_tsdb::{RecordingRule, Tsdb, TsdbConfig};
 
@@ -246,6 +246,9 @@ impl VlsaServer {
     /// [`ServerError::Spec`] for an invalid shard config,
     /// [`ServerError::Io`] for socket failures.
     pub fn start(config: ServerConfig) -> Result<VlsaServer, ServerError> {
+        // The caller's registry, captured once: connection threads enter
+        // it, and the scrape routes and history ingest read it.
+        let telemetry = vlsa_telemetry::recorder();
         let slo = config.slo.clone().map(|obj| Arc::new(ServerSlo::new(obj)));
         // One modeled clock for the whole process: folded forward by
         // every shard batch, read by the event log's rate limiter and
@@ -284,30 +287,28 @@ impl VlsaServer {
         let obs = Arc::new(ServerObs::new(config.trace, config.shards));
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        if vlsa_telemetry::is_enabled() {
+        if let Some(rec) = &telemetry {
             // One constant-1 gauge whose labels carry the build/config
             // identity, the Prometheus `build_info` convention.
-            vlsa_telemetry::recorder()
-                .gauge(&labeled_multi(
-                    metric::BUILD_INFO,
-                    &[
-                        ("version", env!("CARGO_PKG_VERSION")),
-                        ("nbits", &config.shard.nbits.to_string()),
-                        ("window", &config.shard.window.to_string()),
-                        ("shards", &config.shards.to_string()),
-                        ("cycle_ns", &config.shard.cycle_ns.to_string()),
-                    ],
-                ))
-                .set(1.0);
+            rec.gauge(&labeled_multi(
+                metric::BUILD_INFO,
+                &[
+                    ("version", env!("CARGO_PKG_VERSION")),
+                    ("nbits", &config.shard.nbits.to_string()),
+                    ("window", &config.shard.window.to_string()),
+                    ("shards", &config.shards.to_string()),
+                    ("cycle_ns", &config.shard.cycle_ns.to_string()),
+                ],
+            ))
+            .set(1.0);
         }
+        // Without a scope the endpoints serve an empty registry.
+        let registry = telemetry.clone().unwrap_or_default();
         // The embedded metrics history rides with the HTTP mount: the
         // store exists to be queried, and the scrape loop's registry is
         // only populated when telemetry is recording anyway.
         let tsdb = match (&config.tsdb, config.metrics) {
             (Some(cfg), true) => {
-                // Zero baselines must exist before the first ingest
-                // tick, or increase() over the run misses early ops.
-                crate::shard::warm_metrics(config.shards);
                 let db = Arc::new(Tsdb::new(*cfg));
                 for (name, expr) in default_recording_rules() {
                     db.add_rule(RecordingRule {
@@ -320,14 +321,20 @@ impl VlsaServer {
             }
             _ => None,
         };
-        let ingest = tsdb
-            .as_ref()
-            .map(|db| spawn_ingest(Arc::clone(db), Arc::clone(&clock), Arc::clone(&stop)));
+        let ingest = tsdb.as_ref().map(|db| {
+            spawn_ingest(
+                Arc::clone(db),
+                Arc::clone(&registry),
+                Arc::clone(&clock),
+                Arc::clone(&stop),
+            )
+        });
         let scrape = if config.metrics {
             Some(ScrapeServer::with_routes(
                 "127.0.0.1:0",
                 observability_routes(
                     &config,
+                    registry,
                     Arc::clone(&obs),
                     Arc::clone(&pool),
                     slo.clone(),
@@ -345,6 +352,7 @@ impl VlsaServer {
             stop: Arc::clone(&stop),
             slo: slo.clone(),
             chaos: config.chaos.clone(),
+            telemetry,
             hedge: HedgeDedup::new(4096),
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
@@ -356,10 +364,8 @@ impl VlsaServer {
             Arc::new(move |stream: TcpStream| {
                 let shared = Arc::clone(&shared);
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                if vlsa_telemetry::is_enabled() {
-                    vlsa_telemetry::recorder()
-                        .counter(metric::CONNECTIONS)
-                        .incr();
+                if let Some(rec) = &shared.telemetry {
+                    rec.counter(metric::CONNECTIONS).incr();
                 }
                 let handle = std::thread::Builder::new()
                     .name("vlsa-conn".to_string())
@@ -503,7 +509,12 @@ fn default_recording_rules() -> &'static [(&'static str, &'static str)] {
 /// functions of the work the shards did, an idle server appends
 /// nothing, and a loaded one gets a snapshot per poll. The final tick
 /// (after the pool drains) captures the complete run.
-fn spawn_ingest(db: Arc<Tsdb>, clock: Arc<ModeledClock>, stop: Arc<AtomicBool>) -> JoinHandle<()> {
+fn spawn_ingest(
+    db: Arc<Tsdb>,
+    registry: Arc<Registry>,
+    clock: Arc<ModeledClock>,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("vlsa-tsdb-ingest".to_string())
         .spawn(move || {
@@ -514,9 +525,7 @@ fn spawn_ingest(db: Arc<Tsdb>, clock: Arc<ModeledClock>, stop: Arc<AtomicBool>) 
                 }
                 let now_us = clock.now_us();
                 if now_us > db.last_ingest_us() || db.ingest_ticks() == 0 {
-                    // Resolve the recorder per tick: a scoped registry
-                    // (tests) can come and go under us.
-                    db.ingest_registry(&vlsa_telemetry::recorder(), now_us);
+                    db.ingest_registry(&registry, now_us);
                     last_append = Instant::now();
                 } else if last_append.elapsed() >= Duration::from_millis(250) {
                     // Idle heartbeat: the modeled clock pauses between
@@ -525,7 +534,7 @@ fn spawn_ingest(db: Arc<Tsdb>, clock: Arc<ModeledClock>, stop: Arc<AtomicBool>) 
                     // final clock advance. Re-sampling one µs past the
                     // last tick converges the history to the true
                     // closing totals while the server sits idle.
-                    db.ingest_registry(&vlsa_telemetry::recorder(), db.last_ingest_us() + 1);
+                    db.ingest_registry(&registry, db.last_ingest_us() + 1);
                     last_append = Instant::now();
                 }
                 std::thread::sleep(Duration::from_millis(15));
@@ -533,7 +542,7 @@ fn spawn_ingest(db: Arc<Tsdb>, clock: Arc<ModeledClock>, stop: Arc<AtomicBool>) 
             // Final snapshot strictly after every earlier tick, so the
             // run's closing counter values are always queryable.
             let now_us = clock.now_us().max(db.last_ingest_us() + 1);
-            db.ingest_registry(&vlsa_telemetry::recorder(), now_us);
+            db.ingest_registry(&registry, now_us);
         })
         .expect("spawn tsdb ingest thread")
 }
@@ -610,13 +619,13 @@ pub fn answer_query(db: &Tsdb, query: &str) -> HttpResponse {
 /// request while one runs gets a typed 429.
 fn observability_routes(
     config: &ServerConfig,
+    registry: Arc<Registry>,
     obs: Arc<ServerObs>,
     pool: Arc<ShardPool>,
     slo: Option<Arc<ServerSlo>>,
     events: Option<Arc<EventLog>>,
     tsdb: Option<Arc<Tsdb>>,
 ) -> Vec<Route> {
-    let registry = vlsa_telemetry::recorder();
     let build_info = Json::obj()
         .set("version", env!("CARGO_PKG_VERSION"))
         .set("nbits", config.shard.nbits as u64)
@@ -829,6 +838,8 @@ struct ConnShared {
     stop: Arc<AtomicBool>,
     slo: Option<Arc<ServerSlo>>,
     chaos: Option<Arc<ChaosInjector>>,
+    /// The server's registry, entered by every connection thread.
+    telemetry: Option<Arc<Registry>>,
     hedge: HedgeDedup,
     read_timeout: Duration,
     write_timeout: Duration,
@@ -839,10 +850,8 @@ struct ConnShared {
 impl ConnShared {
     fn note_protocol_error(&self) {
         self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        if vlsa_telemetry::is_enabled() {
-            vlsa_telemetry::recorder()
-                .counter(metric::PROTOCOL_ERRORS)
-                .incr();
+        if let Some(rec) = vlsa_telemetry::recorder() {
+            rec.counter(metric::PROTOCOL_ERRORS).incr();
         }
     }
 }
@@ -851,6 +860,7 @@ impl ConnShared {
 /// Every exit path is clean — a typed error frame where the protocol
 /// allows one, then teardown of *this* connection only.
 fn serve_connection(mut stream: TcpStream, shared: &ConnShared) {
+    let _telemetry = shared.telemetry.clone().map(ScopedRecorder::enter);
     if stream.set_read_timeout(Some(shared.read_timeout)).is_err()
         || stream
             .set_write_timeout(Some(shared.write_timeout))
@@ -887,10 +897,8 @@ fn serve_connection(mut stream: TcpStream, shared: &ConnShared) {
                 // is no frame to answer — the peer just went quiet.
                 if !shared.idle_max.is_zero() && last_activity.elapsed() >= shared.idle_max {
                     shared.stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                    if vlsa_telemetry::is_enabled() {
-                        vlsa_telemetry::recorder()
-                            .counter(metric::IDLE_REAPED)
-                            .incr();
+                    if let Some(rec) = vlsa_telemetry::recorder() {
+                        rec.counter(metric::IDLE_REAPED).incr();
                     }
                     break;
                 }
@@ -899,10 +907,8 @@ fn serve_connection(mut stream: TcpStream, shared: &ConnShared) {
                 // A started frame outlived its feed deadline: the peer
                 // is slow-lorising (or broken). Typed error, teardown.
                 shared.stats.slow_frames.fetch_add(1, Ordering::Relaxed);
-                if vlsa_telemetry::is_enabled() {
-                    vlsa_telemetry::recorder()
-                        .counter(metric::SLOW_FRAMES)
-                        .incr();
+                if let Some(rec) = vlsa_telemetry::recorder() {
+                    rec.counter(metric::SLOW_FRAMES).incr();
                 }
                 shared.note_protocol_error();
                 let _ = write_frame(
@@ -943,10 +949,8 @@ fn answer_request(
                 .stats
                 .hedge_duplicates
                 .fetch_add(1, Ordering::Relaxed);
-            if vlsa_telemetry::is_enabled() {
-                vlsa_telemetry::recorder()
-                    .counter(metric::HEDGE_DUPLICATES)
-                    .incr();
+            if let Some(rec) = vlsa_telemetry::recorder() {
+                rec.counter(metric::HEDGE_DUPLICATES).incr();
             }
             if let Some(slo) = &shared.slo {
                 slo.record_hedge_duplicate();

@@ -46,6 +46,15 @@
 //! Aggregate wall-clock throughput then reflects modeled device
 //! parallelism — more shards, more devices — independent of how many
 //! host cores the simulation happens to get.
+//!
+//! ## Telemetry
+//!
+//! The pool records into the registry in scope on the thread that
+//! starts it (`vlsa_telemetry::recorder()`, captured once). Each
+//! shard's instruments are resolved at start, and every thread the pool
+//! spawns — workers of every generation and the supervisor — enters
+//! that registry, so the pipeline, monitor and SLO counters recorded on
+//! them land in it too.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -58,8 +67,8 @@ use vlsa_core::{SpecError, SpeculativeAdder};
 use vlsa_monitor::{ConformanceMonitor, MonitorConfig};
 use vlsa_pipeline::{ResilienceConfig, ResilientPipeline};
 use vlsa_telemetry::names::{labeled, server as metric};
-use vlsa_telemetry::DEFAULT_BUCKETS;
-use vlsa_trace::{RequestTrace, TraceEvent};
+use vlsa_telemetry::{Registry, ScopedRecorder, DEFAULT_BUCKETS};
+use vlsa_trace::RequestTrace;
 
 use crate::clock::ModeledClock;
 use crate::error::ProtocolError;
@@ -288,6 +297,8 @@ struct ShardRuntime {
     stats: Arc<ShardStats>,
     degrade: Arc<AtomicBool>,
     health: Arc<ShardHealth>,
+    /// Instrument handles, resolved at pool start when telemetry is on.
+    metrics: Option<Arc<ShardMetrics>>,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -315,6 +326,8 @@ struct PoolInner {
     shards: Vec<ShardRuntime>,
     degraded_total: Arc<AtomicU64>,
     hooks: PoolHooks,
+    /// The starting thread's registry, entered by every pool thread.
+    telemetry: Option<Arc<Registry>>,
     /// Time base for heartbeat arithmetic.
     epoch: Instant,
     /// Raised at the start of shutdown; the supervisor stops deposing.
@@ -368,13 +381,17 @@ impl ShardPool {
         assert!(shards > 0, "a pool needs at least one shard");
         // Validate once up front so workers can't die on a bad config.
         SpeculativeAdder::new(config.nbits, config.window)?;
+        let telemetry = vlsa_telemetry::recorder();
         let mut built = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        for shard_id in 0..shards {
             built.push(ShardRuntime {
                 queue: Arc::new(Bounded::new(config.queue_capacity)),
                 stats: Arc::new(ShardStats::default()),
                 degrade: Arc::new(AtomicBool::new(false)),
                 health: Arc::new(ShardHealth::default()),
+                metrics: telemetry
+                    .as_deref()
+                    .map(|rec| Arc::new(ShardMetrics::resolve(rec, shard_id as u16))),
                 worker: Mutex::new(None),
             });
         }
@@ -383,6 +400,7 @@ impl ShardPool {
             shards: built,
             degraded_total: Arc::new(AtomicU64::new(0)),
             hooks,
+            telemetry,
             epoch: Instant::now(),
             closing: AtomicBool::new(false),
             graveyard: Mutex::new(Vec::new()),
@@ -454,8 +472,8 @@ impl ShardPool {
             Ok(_) => Ok(()),
             Err(PushError::Full(_)) => {
                 shard.stats.shed.fetch_add(1, Ordering::Relaxed);
-                if vlsa_telemetry::is_enabled() {
-                    vlsa_telemetry::recorder().counter(metric::SHED).incr();
+                if let Some(m) = &shard.metrics {
+                    m.shed.incr();
                 }
                 // A shed is a request the service declined to answer:
                 // it burns availability budget.
@@ -536,8 +554,8 @@ impl ShardPool {
         let shard_id = self.route(request_id);
         let shard = &self.inner.shards[shard_id];
         shard.stats.retryable.fetch_add(1, Ordering::Relaxed);
-        if vlsa_telemetry::is_enabled() {
-            vlsa_telemetry::recorder().counter(metric::RETRYABLE).incr();
+        if let Some(rec) = &self.inner.telemetry {
+            rec.counter(metric::RETRYABLE).incr();
         }
         if let Some(slo) = &self.inner.hooks.slo {
             slo.record_retryable(1);
@@ -607,6 +625,8 @@ fn spawn_worker(inner: &Arc<PoolInner>, shard_id: usize, generation: u64) -> Joi
         degrade: Arc::clone(&shard.degrade),
         degraded_total: Arc::clone(&inner.degraded_total),
         health: Arc::clone(&shard.health),
+        metrics: shard.metrics.clone(),
+        telemetry: inner.telemetry.clone(),
         epoch: inner.epoch,
         hooks: inner.hooks.clone(),
     };
@@ -620,6 +640,9 @@ fn spawn_worker(inner: &Arc<PoolInner>, shard_id: usize, generation: u64) -> Joi
 /// evacuates their queues into `Retryable` answers, and spawns
 /// replacements.
 fn supervisor_loop(inner: &Arc<PoolInner>) {
+    // Restarts feed the SLO accountant and the event log, which record
+    // telemetry of their own.
+    let _telemetry = inner.telemetry.clone().map(ScopedRecorder::enter);
     let poll = inner.config.supervisor.poll;
     let wedge_ms = inner.config.supervisor.wedge_timeout.as_millis() as u64;
     // When each shard was first seen with work pending. An idle worker
@@ -683,8 +706,7 @@ fn restart_shard(inner: &Arc<PoolInner>, shard_id: usize, dead: bool) {
         .stats
         .retryable
         .fetch_add(drained_n, Ordering::Relaxed);
-    if vlsa_telemetry::is_enabled() {
-        let rec = vlsa_telemetry::recorder();
+    if let Some(rec) = &inner.telemetry {
         rec.counter(metric::RESTARTS).incr();
         rec.counter(metric::RETRYABLE).add(drained_n);
     }
@@ -734,7 +756,9 @@ fn restart_shard(inner: &Arc<PoolInner>, shard_id: usize, dead: bool) {
     *slot = Some(spawn_worker(inner, shard_id, new_generation));
 }
 
-/// Telemetry handles a worker resolves once and updates lock-free.
+/// One shard's telemetry handles, resolved once at pool start (so the
+/// first history snapshot already carries every instrument at zero) and
+/// updated lock-free.
 struct ShardMetrics {
     requests: Arc<vlsa_telemetry::Counter>,
     ops: Arc<vlsa_telemetry::Counter>,
@@ -742,6 +766,7 @@ struct ShardMetrics {
     exact_ops: Arc<vlsa_telemetry::Counter>,
     batches: Arc<vlsa_telemetry::Counter>,
     deadline_exceeded: Arc<vlsa_telemetry::Counter>,
+    shed: Arc<vlsa_telemetry::Counter>,
     batch_ops: Arc<vlsa_telemetry::Histogram>,
     latency: Arc<vlsa_telemetry::Histogram>,
     queue_depth: Arc<vlsa_telemetry::Gauge>,
@@ -752,8 +777,7 @@ struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    fn resolve(shard: u16) -> ShardMetrics {
-        let rec = vlsa_telemetry::recorder();
+    fn resolve(rec: &Registry, shard: u16) -> ShardMetrics {
         ShardMetrics {
             requests: rec.counter(metric::REQUESTS),
             ops: rec.counter(metric::OPS),
@@ -761,6 +785,7 @@ impl ShardMetrics {
             exact_ops: rec.counter(metric::EXACT_OPS),
             batches: rec.counter(metric::BATCHES),
             deadline_exceeded: rec.counter(metric::DEADLINE_EXCEEDED),
+            shed: rec.counter(metric::SHED),
             batch_ops: rec.histogram(metric::BATCH_OPS, DEFAULT_BUCKETS),
             latency: rec.histogram(
                 &labeled(metric::REQUEST_LATENCY_US, "shard", shard),
@@ -775,21 +800,6 @@ impl ShardMetrics {
     }
 }
 
-/// Pre-creates every per-shard instrument (plus the lazily-resolved
-/// shed counter) at zero. Workers resolve their own handles at spawn,
-/// which races the embedded history's first ingest tick — warming the
-/// registry first guarantees the t=0 snapshot carries zero baselines,
-/// so `increase()` over the whole run counts from the true start.
-pub(crate) fn warm_metrics(shards: usize) {
-    if !vlsa_telemetry::is_enabled() {
-        return;
-    }
-    for shard in 0..shards {
-        drop(ShardMetrics::resolve(shard as u16));
-    }
-    vlsa_telemetry::recorder().counter(metric::SHED);
-}
-
 /// Everything one worker generation needs, bundled for `spawn_worker`.
 struct WorkerCtx {
     shard_id: u16,
@@ -799,6 +809,8 @@ struct WorkerCtx {
     degrade: Arc<AtomicBool>,
     degraded_total: Arc<AtomicU64>,
     health: Arc<ShardHealth>,
+    metrics: Option<Arc<ShardMetrics>>,
+    telemetry: Option<Arc<Registry>>,
     epoch: Instant,
     hooks: PoolHooks,
 }
@@ -815,8 +827,8 @@ impl WorkerCtx {
     fn refuse_jobs(&self, jobs: Vec<Job>) {
         let n = jobs.len() as u64;
         self.stats.retryable.fetch_add(n, Ordering::Relaxed);
-        if vlsa_telemetry::is_enabled() {
-            vlsa_telemetry::recorder().counter(metric::RETRYABLE).add(n);
+        if let Some(rec) = &self.telemetry {
+            rec.counter(metric::RETRYABLE).add(n);
         }
         if let Some(slo) = &self.hooks.slo {
             slo.record_retryable(n);
@@ -836,13 +848,7 @@ impl WorkerCtx {
 
     /// Sheds one job that outwaited its deadline budget with a typed
     /// `DeadlineExceeded` frame.
-    fn shed_expired(
-        &self,
-        job: Job,
-        budget_us: u32,
-        waited_us: u32,
-        metrics: Option<&ShardMetrics>,
-    ) {
+    fn shed_expired(&self, job: Job, budget_us: u32, waited_us: u32) {
         let frame = Frame::Error(
             ProtocolError::DeadlineExceeded {
                 budget_us,
@@ -851,7 +857,7 @@ impl WorkerCtx {
             .to_frame(),
         );
         self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = metrics {
+        if let Some(m) = &self.metrics {
             m.deadline_exceeded.incr();
         }
         if let Some(slo) = &self.hooks.slo {
@@ -862,6 +868,8 @@ impl WorkerCtx {
 }
 
 fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
+    // The pipeline, monitor, SLO and event log record on this thread.
+    let _telemetry = ctx.telemetry.clone().map(ScopedRecorder::enter);
     let shard_id = ctx.shard_id;
     let config = &ctx.config;
     let stats = &ctx.stats;
@@ -874,8 +882,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
         m.set_degrade_signal(Arc::clone(&ctx.degrade));
         m
     });
-    let metrics = vlsa_telemetry::is_enabled().then(|| ShardMetrics::resolve(shard_id));
-    let spans = vlsa_trace::recorder();
+    let metrics = ctx.metrics.as_deref();
     // The worker's marker stack for the on-demand sampling profiler:
     // `/profile` snapshots tell you which phase each shard is in.
     let stack = vlsa_profile::register_thread(&format!("vlsa-shard-{shard_id}"));
@@ -952,7 +959,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
                 Some(budget_us) => {
                     let waited_us = us32(job.enqueued.elapsed());
                     if u64::from(waited_us) > u64::from(budget_us) {
-                        ctx.shed_expired(job, budget_us, waited_us, metrics.as_ref());
+                        ctx.shed_expired(job, budget_us, waited_us);
                         batch_deadline_shed += 1;
                     } else {
                         kept.push(job);
@@ -969,7 +976,6 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
             continue;
         }
         let batch_ready = Instant::now();
-        let batch_start_cycle = total_cycles;
         let batch_requests = jobs.len() as u64;
         let mut batch_cycles = 0u64;
         let mut batch_ops = 0u64;
@@ -1026,7 +1032,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
             let exact = batch.outcomes.iter().filter(|o| o.exact_path).count() as u64;
             batch_exact += exact;
             stats.exact_ops.fetch_add(exact, Ordering::Relaxed);
-            if let Some(m) = &metrics {
+            if let Some(m) = metrics {
                 m.requests.incr();
                 m.ops.add(batch.stats.ops);
                 m.stalls.add(batch.stats.er_recoveries);
@@ -1106,7 +1112,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
             stats.degraded.store(true, Ordering::Relaxed);
             ctx.degraded_total.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(m) = &metrics {
+        if let Some(m) = metrics {
             m.degraded_shards
                 .set(ctx.degraded_total.load(Ordering::Relaxed) as f64);
         }
@@ -1122,7 +1128,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
         let (mut lat_good, mut lat_bad) = (0u64, 0u64);
         for pending in replies {
             let latency_us = pending.enqueued.elapsed().as_micros() as u64;
-            if let Some(m) = &metrics {
+            if let Some(m) = metrics {
                 m.latency.record(latency_us);
             }
             if let Some(threshold) = latency_threshold_us {
@@ -1217,7 +1223,7 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
             });
         }
 
-        if let Some(m) = &metrics {
+        if let Some(m) = metrics {
             m.batches.incr();
             m.batch_ops.record(batch_ops);
             m.queue_depth.set(queue.len() as f64);
@@ -1226,14 +1232,6 @@ fn worker_loop(ctx: &WorkerCtx, queue: &Bounded<Job>) {
                     gauge.set(v);
                 }
             }
-        }
-        if let Some(rec) = &spans {
-            rec.record(
-                TraceEvent::complete("batch", "server", batch_start_cycle, batch_cycles.max(1))
-                    .on_track(u32::from(shard_id))
-                    .arg("shard", u64::from(shard_id))
-                    .arg("ops", batch_ops),
-            );
         }
     }
     if let Some(m) = monitor.as_mut() {

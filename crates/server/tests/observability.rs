@@ -220,7 +220,7 @@ fn an_induced_p999_outlier_is_attributable_end_to_end() {
 
 #[test]
 fn the_profiler_and_snapshot_endpoints_serve_while_under_load() {
-    // The build-info gauge lives in the global recorder; scope one in
+    // The build-info gauge lives in the caller's registry; scope one in
     // like the `serve` binary does.
     let _telemetry = vlsa_telemetry::ScopedRecorder::install();
     let mut server = VlsaServer::start(ServerConfig {

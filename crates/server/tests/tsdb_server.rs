@@ -28,8 +28,8 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn a_live_run_is_reconstructable_from_the_store() {
-    // The scope must precede the server: shard workers resolve their
-    // counters at spawn, and the ingest thread re-resolves per tick.
+    // The scope must precede the server: it captures the registry in
+    // scope when it starts and hands it to every thread it spawns.
     let scope = ScopedRecorder::install();
     // A slow modeled device (10 µs/cycle) so this small run spans a
     // measurable stretch of modeled time — the axis the self-scraper
@@ -129,5 +129,11 @@ fn a_live_run_is_reconstructable_from_the_store() {
         names.iter().any(|n| n == "vlsa.recorded.ops_per_sec"),
         "recorded rule output missing from {names:?}"
     );
+
+    // Telemetry recorded on the server's own threads lands in the
+    // caller's registry: the shard workers' pipeline counters too.
+    let registry = scope.registry();
+    assert_eq!(registry.counter_value("vlsa.resilience.ops"), delivered_ops);
+    assert_eq!(registry.counter_value("vlsa.server.connections"), 1);
     drop(scope);
 }

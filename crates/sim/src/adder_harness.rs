@@ -50,9 +50,8 @@ pub fn adder_sums(
     nbits: usize,
     pairs: &[(WideWord, WideWord)],
 ) -> Result<Vec<WideWord>, SimulateError> {
-    let lane_hist = vlsa_telemetry::is_enabled().then(|| {
-        vlsa_telemetry::recorder()
-            .histogram("vlsa.sim.lanes_per_pass", vlsa_telemetry::DEFAULT_BUCKETS)
+    let lane_hist = vlsa_telemetry::recorder().map(|recorder| {
+        recorder.histogram("vlsa.sim.lanes_per_pass", vlsa_telemetry::DEFAULT_BUCKETS)
     });
     let mut sums = Vec::with_capacity(pairs.len());
     for chunk in pairs.chunks(64) {

@@ -169,8 +169,7 @@ pub fn simulate<'a>(netlist: &'a Netlist, stimulus: &Stimulus) -> Result<Waves<'
             return Err(SimulateError::UnknownPort { name: name.clone() });
         }
     }
-    let telemetry_on = vlsa_telemetry::is_enabled();
-    let sweep_start = telemetry_on.then(std::time::Instant::now);
+    let telemetry = vlsa_telemetry::recorder().map(|rec| (rec, std::time::Instant::now()));
     let mut values = vec![0u64; netlist.len()];
     for (name, net) in netlist.primary_inputs() {
         let lanes = stimulus
@@ -191,8 +190,7 @@ pub fn simulate<'a>(netlist: &'a Netlist, stimulus: &Stimulus) -> Result<Waves<'
             }
         }
     }
-    if let Some(start) = sweep_start {
-        let recorder = vlsa_telemetry::recorder();
+    if let Some((recorder, start)) = telemetry {
         recorder.counter("vlsa.sim.passes").incr();
         recorder.counter("vlsa.sim.gate_evals").add(gate_evals);
         recorder

@@ -298,8 +298,7 @@ pub fn fault_coverage(
             }
         }
     }
-    if vlsa_telemetry::is_enabled() {
-        let recorder = vlsa_telemetry::recorder();
+    if let Some(recorder) = vlsa_telemetry::recorder() {
         recorder
             .counter("vlsa.sim.faults_injected")
             .add(cov.total as u64);

@@ -1,18 +1,9 @@
-//! Exact-count checks for the `vlsa.sim.*` profiling metrics, isolated
-//! in their own test binary.
+//! Exact-count checks for the `vlsa.sim.*` profiling metrics. Each test
+//! records into its own thread's scope.
 
-use std::sync::Mutex;
 use vlsa_netlist::Netlist;
 use vlsa_sim::{adder_sums, fault_coverage, simulate, Stimulus};
 use vlsa_telemetry::{Json, ScopedRecorder};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// A gate-level ripple-carry adder following the harness port scheme.
 fn ripple(nbits: usize) -> Netlist {
@@ -35,7 +26,6 @@ fn ripple(nbits: usize) -> Netlist {
 
 #[test]
 fn simulate_counts_passes_and_gate_evals() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     let mut nl = Netlist::new("xor");
@@ -70,7 +60,6 @@ fn simulate_counts_passes_and_gate_evals() {
 
 #[test]
 fn adder_sums_records_lane_utilization() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     let nl = ripple(8);
@@ -92,7 +81,6 @@ fn adder_sums_records_lane_utilization() {
 
 #[test]
 fn fault_coverage_counts_injected_propagated_masked() {
-    let _guard = serial();
     let scope = ScopedRecorder::install();
 
     let mut nl = Netlist::new("andor");
@@ -113,14 +101,15 @@ fn fault_coverage_counts_injected_propagated_masked() {
 
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let _guard = serial();
-    assert!(!vlsa_telemetry::is_enabled());
-    let before = vlsa_telemetry::recorder().counter_value("vlsa.sim.passes");
-    let nl = ripple(4);
-    let pairs = vec![(vec![1u64], vec![2u64])];
-    adder_sums(&nl, 4, &pairs).expect("simulate");
-    assert_eq!(
-        vlsa_telemetry::recorder().counter_value("vlsa.sim.passes"),
-        before
-    );
+    // A scope live on this thread sees nothing of a thread without one.
+    let scope = ScopedRecorder::install();
+    std::thread::spawn(|| {
+        assert!(!vlsa_telemetry::is_enabled());
+        let nl = ripple(4);
+        let pairs = vec![(vec![1u64], vec![2u64])];
+        adder_sums(&nl, 4, &pairs).expect("simulate");
+    })
+    .join()
+    .expect("unscoped thread");
+    assert_eq!(scope.registry().counter_value("vlsa.sim.passes"), 0);
 }

@@ -6,9 +6,9 @@
 //! [`BurnRule`](crate::BurnRule) against the ring. The [`SloEngine`]
 //! bundles the serving stack's three trackers and fans fired alerts out
 //! exactly the way the conformance monitor fans out drift alerts:
-//! telemetry counters, an event-sink note, a trace instant span, and —
-//! for a burning *correctness* budget — the shared degrade signals, so
-//! shards flip to the exact adder before the budget is gone.
+//! telemetry counters, a trace instant span, and — for a burning
+//! *correctness* budget — the shared degrade signals, so shards flip to
+//! the exact adder before the budget is gone.
 //!
 //! The engine never reads a clock; callers pass modeled nanoseconds.
 
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vlsa_telemetry::names::{labeled, labeled_multi, slo as metric};
-use vlsa_telemetry::{Event, Json};
+use vlsa_telemetry::Json;
 use vlsa_trace::{names as span, TraceEvent};
 
 use crate::spec::{Objectives, Severity, SloKind, SloSpec};
@@ -383,7 +383,7 @@ impl SloEngine {
     }
 
     /// The alert fan-out, mirroring `ConformanceMonitor::raise`:
-    /// telemetry counters + event-sink note + trace instant span, plus
+    /// telemetry counters + trace instant span, plus
     /// the degrade coupling for a paging correctness budget.
     fn fan_out(&self, alert: &SloAlert, kind: &SloKind) {
         if alert.state == AlertState::Firing
@@ -394,8 +394,7 @@ impl SloEngine {
                 flag.store(true, Ordering::Relaxed);
             }
         }
-        if vlsa_telemetry::is_enabled() {
-            let registry = vlsa_telemetry::recorder();
+        if let Some(registry) = vlsa_telemetry::recorder() {
             match alert.state {
                 AlertState::Firing => {
                     registry.counter(metric::ALERTS).incr();
@@ -410,10 +409,6 @@ impl SloEngine {
                     registry.counter(metric::CLEARS).incr();
                 }
             }
-            vlsa_telemetry::emit(Event::Note {
-                source: "vlsa.slo".to_string(),
-                text: alert.to_string(),
-            });
         }
         if vlsa_trace::is_enabled() {
             vlsa_trace::record(
@@ -430,10 +425,9 @@ impl SloEngine {
     }
 
     fn flush_gauges(&self, now_ns: u64) {
-        if !vlsa_telemetry::is_enabled() {
+        let Some(registry) = vlsa_telemetry::recorder() else {
             return;
-        }
-        let registry = vlsa_telemetry::recorder();
+        };
         for tracker in &self.trackers {
             let name = tracker.spec().name.as_str();
             registry

@@ -17,8 +17,8 @@
 //!   window recovers.
 //! - [`SloEngine`]: the canonical three-SLO bundle (availability,
 //!   latency, correctness) with the same alert fan-out the conformance
-//!   monitor uses — telemetry counters, event-sink notes, trace instant
-//!   spans — plus the degrade coupling: a paging correctness burn flips
+//!   monitor uses — telemetry counters and trace instant spans — plus
+//!   the degrade coupling: a paging correctness burn flips
 //!   every shard's degrade flag, pre-emptively moving the fleet to the
 //!   exact adder while budget remains.
 //!

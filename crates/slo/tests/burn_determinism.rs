@@ -8,20 +8,11 @@
 //! anywhere.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 use vlsa_slo::{AlertState, Objectives, Severity, SloAlert, SloEngine, SloTracker};
 
 const SECOND_NS: u64 = 1_000_000_000;
-
-/// Serializes tests that install the global telemetry recorder.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// The standard availability tracker (99.9% target: fast page ×14.4
 /// over 1h/5m, slow warn ×6 over 6h/30m).
@@ -201,7 +192,6 @@ fn demo_windows_compress_the_same_shape_into_seconds() {
 
 #[test]
 fn correctness_page_degrades_the_fleet_and_counts_in_telemetry() {
-    let _guard = serial();
     let scope = vlsa_telemetry::ScopedRecorder::install();
     let mut engine = SloEngine::new(Objectives::demo());
     let flags: Vec<Arc<AtomicBool>> = (0..4).map(|_| Arc::new(AtomicBool::new(false))).collect();

@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON value, writer, and parser.
 //!
 //! The workspace is dependency-free by policy (the build environment is
-//! offline), so machine-readable bench output and sink serialization
+//! offline), so machine-readable bench output and registry snapshots
 //! use this module instead of serde. It supports exactly the JSON the
 //! workspace emits: objects with ordered keys, arrays, finite numbers,
 //! strings, booleans, and null.

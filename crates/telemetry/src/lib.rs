@@ -2,15 +2,21 @@
 //!
 //! Zero-dependency observability substrate for the VLSA workspace:
 //! atomic [`Counter`]s, last-write [`Gauge`]s, fixed-bucket
-//! [`Histogram`]s, a process-global [`Registry`], and pluggable event
-//! [`Sink`]s.
+//! [`Histogram`]s, and a [`Registry`] of named instruments that a
+//! [`ScopedRecorder`] puts in scope on one thread.
 //!
 //! ## Design rules
 //!
 //! - **Off by default, ~free when off.** Instrumented code guards every
-//!   hook with [`is_enabled`], a single relaxed atomic load. No
-//!   allocation, locking, or formatting happens unless someone called
-//!   [`enable`].
+//!   hook with [`is_enabled`] (or asks [`recorder`] directly). While no
+//!   scope is live anywhere in the process that is a single relaxed
+//!   atomic load; only then is the calling thread's slot read. No
+//!   allocation, locking, or formatting happens unless a scope is live
+//!   on the calling thread.
+//! - **Scopes belong to threads.** A [`ScopedRecorder`] redirects only
+//!   the thread that installed it, so scopes on different threads never
+//!   see each other's samples. Code that spawns threads hands its
+//!   registry on explicitly with [`ScopedRecorder::enter`].
 //! - **Names are `vlsa.<crate>.<metric>`** — e.g. `vlsa.core.adds`,
 //!   `vlsa.pipeline.queue_dropped`, `vlsa.sim.gate_evals`.
 //! - **No dependencies.** The build environment is offline; everything
@@ -19,16 +25,29 @@
 //! ## Usage
 //!
 //! ```
-//! vlsa_telemetry::enable();
-//! let recorder = vlsa_telemetry::recorder();
-//! recorder.counter("vlsa.example.events").incr();
-//! let snapshot = recorder.snapshot();
-//! assert!(snapshot.to_string().contains("vlsa.example.events"));
-//! vlsa_telemetry::disable();
-//! ```
+//! use std::sync::Arc;
+//! use vlsa_telemetry::ScopedRecorder;
 //!
-//! Tests that need isolation from the process-global registry swap in
-//! their own with a [`ScopedRecorder`] guard.
+//! let scope = ScopedRecorder::install();
+//! if let Some(recorder) = vlsa_telemetry::recorder() {
+//!     recorder.counter("vlsa.example.events").incr();
+//! }
+//! // A spawned thread records into the same registry only if it
+//! // enters it.
+//! let registry = Arc::clone(scope.registry());
+//! std::thread::spawn(move || {
+//!     let _scope = ScopedRecorder::enter(registry);
+//!     vlsa_telemetry::recorder()
+//!         .expect("entered")
+//!         .counter("vlsa.example.events")
+//!         .incr();
+//! })
+//! .join()
+//! .unwrap();
+//! assert_eq!(scope.registry().counter_value("vlsa.example.events"), 2);
+//! drop(scope);
+//! assert!(vlsa_telemetry::recorder().is_none());
+//! ```
 
 pub mod counter;
 pub mod exemplar;
@@ -36,113 +55,81 @@ pub mod histogram;
 pub mod json;
 pub mod names;
 pub mod registry;
-pub mod sink;
 
 pub use counter::{Counter, Gauge};
 pub use exemplar::{Exemplar, ExemplarSet};
 pub use histogram::{Histogram, MergeError, DEFAULT_BUCKETS};
 pub use json::{Json, JsonError};
 pub use registry::Registry;
-pub use sink::{Event, JsonlSink, NullSink, Sink, StderrSink};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Scopes live on any thread: the one load [`is_enabled`] pays while
+/// nothing records. `Relaxed` suffices: the count publishes no data,
+/// and a thread with a live scope always sees its own increment.
+static LIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
-fn global_registry() -> &'static Arc<Registry> {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Registry::new()))
+thread_local! {
+    /// The registry the calling thread records into, while a scope is
+    /// live on it.
+    static CURRENT: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
-fn active_registry() -> &'static RwLock<Option<Arc<Registry>>> {
-    static ACTIVE: OnceLock<RwLock<Option<Arc<Registry>>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| RwLock::new(None))
-}
-
-fn active_sink() -> &'static RwLock<Option<Arc<dyn Sink>>> {
-    static SINK: OnceLock<RwLock<Option<Arc<dyn Sink>>>> = OnceLock::new();
-    SINK.get_or_init(|| RwLock::new(None))
-}
-
-/// Turns telemetry collection on process-wide.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns telemetry collection off process-wide.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether telemetry is currently enabled.
+/// Whether the calling thread records telemetry.
 ///
 /// This is the guard instrumented code checks before touching any
-/// instrument: one relaxed atomic load.
+/// instrument: one relaxed atomic load while no scope is live anywhere,
+/// plus a thread-local read otherwise.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LIVE_SCOPES.load(Ordering::Relaxed) != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// The registry instrumented code should record into: the scoped
-/// registry if a [`ScopedRecorder`] is live, the process-global one
-/// otherwise.
-pub fn recorder() -> Arc<Registry> {
-    if let Some(scoped) = active_registry().read().expect("telemetry lock").as_ref() {
-        return Arc::clone(scoped);
-    }
-    Arc::clone(global_registry())
-}
-
-/// Installs `sink` as the receiver for [`emit`]ted events, returning
-/// the previous sink (if any).
-pub fn set_sink(sink: Arc<dyn Sink>) -> Option<Arc<dyn Sink>> {
-    active_sink().write().expect("telemetry lock").replace(sink)
-}
-
-/// Removes the installed sink, returning it.
-pub fn clear_sink() -> Option<Arc<dyn Sink>> {
-    active_sink().write().expect("telemetry lock").take()
-}
-
-/// Delivers an event to the installed sink. No-op while telemetry is
-/// disabled or no sink is installed.
-pub fn emit(event: Event) {
-    if !is_enabled() {
-        return;
-    }
-    let sink = {
-        let guard = active_sink().read().expect("telemetry lock");
-        guard.as_ref().map(Arc::clone)
-    };
-    if let Some(sink) = sink {
-        sink.event(&event);
-    }
-}
-
-/// Guard that redirects [`recorder`] to a private [`Registry`] for its
-/// lifetime, then restores the previous target.
+/// The registry the calling thread records into, if a
+/// [`ScopedRecorder`] is live on it.
 ///
-/// The redirection is process-global (telemetry has no notion of which
-/// thread produced a sample), so concurrent scopes on different threads
-/// interleave; tests that rely on exact counts should serialize.
+/// Instrumented loops should resolve this once up front and reuse the
+/// handle.
+#[inline]
+pub fn recorder() -> Option<Arc<Registry>> {
+    if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Guard that puts a [`Registry`] in scope on the calling thread for
+/// its lifetime, then restores the thread's previous target.
+///
+/// Only the installing thread is redirected; a guard must be dropped on
+/// that thread, so it is neither `Send` nor `Sync`. Nested scopes
+/// restore in order.
 #[derive(Debug)]
 pub struct ScopedRecorder {
     registry: Arc<Registry>,
     previous: Option<Arc<Registry>>,
+    thread_bound: PhantomData<*const ()>,
 }
 
 impl ScopedRecorder {
-    /// Redirects [`recorder`] to a fresh registry and enables
-    /// telemetry.
+    /// Puts a fresh registry in scope on the calling thread.
     pub fn install() -> ScopedRecorder {
-        let registry = Arc::new(Registry::new());
-        let previous = active_registry()
-            .write()
-            .expect("telemetry lock")
-            .replace(Arc::clone(&registry));
-        enable();
-        ScopedRecorder { registry, previous }
+        ScopedRecorder::enter(Arc::new(Registry::new()))
+    }
+
+    /// Puts an existing registry in scope on the calling thread — how a
+    /// spawned thread records into its spawner's registry.
+    pub fn enter(registry: Arc<Registry>) -> ScopedRecorder {
+        let previous = CURRENT.with(|c| c.replace(Some(Arc::clone(&registry))));
+        LIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
+        ScopedRecorder {
+            registry,
+            previous,
+            thread_bound: PhantomData,
+        }
     }
 
     /// The registry this scope records into.
@@ -158,102 +145,125 @@ impl ScopedRecorder {
 
 impl Drop for ScopedRecorder {
     fn drop(&mut self) {
-        let mut active = active_registry().write().expect("telemetry lock");
-        *active = self.previous.take();
-        if active.is_none() {
-            disable();
-        }
+        // `try_with`: a guard dropped while the thread's locals are torn
+        // down must not panic.
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = self.previous.take());
+        LIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Global-state tests must not interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    use std::sync::Barrier;
 
     #[test]
-    fn disabled_by_default_until_enabled() {
-        let _guard = serial();
-        disable();
+    fn disabled_until_a_scope_is_live_on_this_thread() {
         assert!(!is_enabled());
-        enable();
+        assert!(recorder().is_none());
+        let scope = ScopedRecorder::install();
         assert!(is_enabled());
-        disable();
+        assert!(Arc::ptr_eq(
+            &recorder().expect("in scope"),
+            scope.registry()
+        ));
+        drop(scope);
+        assert!(!is_enabled());
     }
 
     #[test]
     fn scoped_recorder_isolates_and_restores() {
-        let _guard = serial();
-        disable();
-        let global_before = recorder().counter_value("vlsa.test.scoped");
         {
             let scope = ScopedRecorder::install();
-            assert!(is_enabled());
-            recorder().counter("vlsa.test.scoped").add(5);
+            recorder()
+                .expect("in scope")
+                .counter("vlsa.test.scoped")
+                .add(5);
             assert_eq!(scope.registry().counter_value("vlsa.test.scoped"), 5);
         }
         assert!(!is_enabled());
-        // The global registry never saw the scoped samples.
-        assert_eq!(recorder().counter_value("vlsa.test.scoped"), global_before);
+        assert!(recorder().is_none());
     }
 
     #[test]
     fn nested_scopes_restore_in_order() {
-        let _guard = serial();
         let outer = ScopedRecorder::install();
-        recorder().counter("vlsa.test.nest").add(1);
+        let record = |n| {
+            recorder()
+                .expect("in scope")
+                .counter("vlsa.test.nest")
+                .add(n)
+        };
+        record(1);
         {
             let inner = ScopedRecorder::install();
-            recorder().counter("vlsa.test.nest").add(10);
+            record(10);
             assert_eq!(inner.registry().counter_value("vlsa.test.nest"), 10);
         }
-        recorder().counter("vlsa.test.nest").add(1);
+        record(1);
         assert_eq!(outer.registry().counter_value("vlsa.test.nest"), 2);
         drop(outer);
         assert!(!is_enabled());
     }
 
     #[test]
-    fn emit_reaches_installed_sink_only_when_enabled() {
-        let _guard = serial();
-        #[derive(Default)]
-        struct CountingSink(Counter);
-        impl Sink for CountingSink {
-            fn event(&self, _event: &Event) {
-                self.0.incr();
-            }
-        }
-        let sink = Arc::new(CountingSink::default());
-        let previous = set_sink(Arc::clone(&sink) as Arc<dyn Sink>);
-        disable();
-        emit(Event::Note {
-            source: "vlsa.test".into(),
-            text: "dropped".into(),
-        });
-        assert_eq!(sink.0.get(), 0);
-        enable();
-        emit(Event::Note {
-            source: "vlsa.test".into(),
-            text: "seen".into(),
-        });
-        assert_eq!(sink.0.get(), 1);
-        disable();
-        match previous {
-            Some(p) => {
-                set_sink(p);
-            }
-            None => {
-                clear_sink();
-            }
+    fn enter_shares_a_registry_with_another_thread() {
+        let scope = ScopedRecorder::install();
+        let registry = Arc::clone(scope.registry());
+        std::thread::spawn(move || {
+            assert!(recorder().is_none(), "scopes do not leak across threads");
+            let _entered = ScopedRecorder::enter(registry);
+            recorder()
+                .expect("entered")
+                .counter("vlsa.test.enter")
+                .add(3);
+        })
+        .join()
+        .expect("worker");
+        assert_eq!(scope.registry().counter_value("vlsa.test.enter"), 3);
+    }
+
+    #[test]
+    fn scopes_on_two_threads_are_isolated() {
+        // Thread 0 installs first and drops first, while thread 1's
+        // scope is still live: neither may see the other's samples, and
+        // the first drop must not switch thread 1 off.
+        let barrier = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = (0..2u64)
+            .map(|id| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let record = |n| {
+                        recorder()
+                            .expect("in scope")
+                            .counter("vlsa.test.iso")
+                            .add(n)
+                    };
+                    if id == 1 {
+                        barrier.wait(); // thread 0 installed
+                    }
+                    let scope = ScopedRecorder::install();
+                    if id == 0 {
+                        barrier.wait();
+                    }
+                    barrier.wait(); // both scopes live
+                    record(id + 1);
+                    barrier.wait(); // both recorded
+                    if id == 0 {
+                        assert_eq!(scope.registry().counter_value("vlsa.test.iso"), 1);
+                        drop(scope);
+                        barrier.wait(); // thread 0's scope is gone
+                        assert!(recorder().is_none());
+                        return;
+                    }
+                    barrier.wait();
+                    record(10);
+                    assert_eq!(scope.registry().counter_value("vlsa.test.iso"), 12);
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker");
         }
     }
 }

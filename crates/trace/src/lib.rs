@@ -21,7 +21,11 @@
 //! ## Design rules (inherited from `vlsa-telemetry`)
 //!
 //! - **Off by default, ~free when off.** Instrumented code guards every
-//!   hook with [`is_enabled`]: one relaxed atomic load and nothing else.
+//!   hook with [`is_enabled`]: while no [`ScopedTrace`] is live anywhere
+//!   in the process, one relaxed atomic load and nothing else.
+//! - **Scopes belong to threads.** A [`ScopedTrace`] captures only the
+//!   thread that installed it; a spawned thread traces into the same
+//!   recorder only if it [`ScopedTrace::enter`]s it.
 //! - **No allocation on the hot path.** [`TraceEvent`] is `Copy` with
 //!   `&'static str` names; the ring never grows.
 //! - **No dependencies.** JSON is `vlsa_telemetry::Json`; everything
@@ -52,83 +56,81 @@ pub use ring::FlightRecorder;
 pub use span::{names, Phase, TraceEvent, MAX_ARGS};
 pub use vcd::{VcdId, VcdWriter};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Trace scopes live on any thread: the one load [`is_enabled`] pays
+/// while nothing traces. `Relaxed` suffices: the count publishes no
+/// data, and a thread with a live scope always sees its own increment.
+static LIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
-fn active_recorder() -> &'static RwLock<Option<Arc<FlightRecorder>>> {
-    static ACTIVE: OnceLock<RwLock<Option<Arc<FlightRecorder>>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| RwLock::new(None))
+thread_local! {
+    /// The flight recorder the calling thread traces into, while a scope
+    /// is live on it.
+    static CURRENT: RefCell<Option<Arc<FlightRecorder>>> = const { RefCell::new(None) };
 }
 
-/// Whether tracing is enabled: the one relaxed atomic load instrumented
-/// hot paths pay when tracing is off.
+/// Whether the calling thread traces: one relaxed atomic load while no
+/// scope is live anywhere, plus a thread-local read otherwise.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LIVE_SCOPES.load(Ordering::Relaxed) != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Installs `recorder` as the process-wide event destination and turns
-/// tracing on. Returns the previously installed recorder, if any.
-pub fn install(recorder: Arc<FlightRecorder>) -> Option<Arc<FlightRecorder>> {
-    let previous = active_recorder()
-        .write()
-        .expect("trace lock")
-        .replace(recorder);
-    ENABLED.store(true, Ordering::Relaxed);
-    previous
-}
-
-/// Turns tracing off and removes the installed recorder, returning it.
-pub fn uninstall() -> Option<Arc<FlightRecorder>> {
-    ENABLED.store(false, Ordering::Relaxed);
-    active_recorder().write().expect("trace lock").take()
-}
-
-/// The installed flight recorder, if tracing is active.
+/// The flight recorder the calling thread traces into, if a
+/// [`ScopedTrace`] is live on it.
 ///
 /// Instrumented loops should resolve this once up front and reuse the
 /// handle, exactly like `vlsa_telemetry::recorder()` call sites do.
+#[inline]
 pub fn recorder() -> Option<Arc<FlightRecorder>> {
-    if !is_enabled() {
+    if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    active_recorder()
-        .read()
-        .expect("trace lock")
-        .as_ref()
-        .map(Arc::clone)
+    CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Records one event into the installed recorder. No-op while tracing
-/// is disabled.
+/// Records one event into the calling thread's recorder. No-op while
+/// the thread does not trace.
 pub fn record(event: TraceEvent) {
     if let Some(rec) = recorder() {
         rec.record(event);
     }
 }
 
-/// Guard that installs a fresh flight recorder for its lifetime and
-/// restores the previous state on drop — the tracing counterpart of
-/// [`vlsa_telemetry::ScopedRecorder`].
+/// Guard that puts a flight recorder in scope on the calling thread for
+/// its lifetime and restores the thread's previous target on drop — the
+/// tracing counterpart of [`vlsa_telemetry::ScopedRecorder`].
 ///
-/// The redirection is process-global; concurrent scopes on different
-/// threads interleave, so tests that rely on exact event sets should
-/// serialize.
+/// Only the installing thread is redirected; a guard must be dropped on
+/// that thread, so it is neither `Send` nor `Sync`. Nested scopes
+/// restore in order.
 #[derive(Debug)]
 pub struct ScopedTrace {
     recorder: Arc<FlightRecorder>,
     previous: Option<Arc<FlightRecorder>>,
+    thread_bound: PhantomData<*const ()>,
 }
 
 impl ScopedTrace {
-    /// Installs a fresh recorder with the given capacity and enables
-    /// tracing.
+    /// Puts a fresh recorder with the given capacity in scope on the
+    /// calling thread.
     pub fn install(capacity: usize) -> ScopedTrace {
-        let recorder = Arc::new(FlightRecorder::new(capacity));
-        let previous = install(Arc::clone(&recorder));
-        ScopedTrace { recorder, previous }
+        ScopedTrace::enter(Arc::new(FlightRecorder::new(capacity)))
+    }
+
+    /// Puts an existing recorder in scope on the calling thread — how a
+    /// spawned thread traces into its spawner's recorder.
+    pub fn enter(recorder: Arc<FlightRecorder>) -> ScopedTrace {
+        let previous = CURRENT.with(|c| c.replace(Some(Arc::clone(&recorder))));
+        LIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
+        ScopedTrace {
+            recorder,
+            previous,
+            thread_bound: PhantomData,
+        }
     }
 
     /// The recorder this scope traces into.
@@ -144,31 +146,20 @@ impl ScopedTrace {
 
 impl Drop for ScopedTrace {
     fn drop(&mut self) {
-        let mut active = active_recorder().write().expect("trace lock");
-        *active = self.previous.take();
-        if active.is_none() {
-            ENABLED.store(false, Ordering::Relaxed);
-        }
+        // `try_with`: a guard dropped while the thread's locals are torn
+        // down must not panic.
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = self.previous.take());
+        LIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Global-state tests must not interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    use std::sync::Barrier;
 
     #[test]
     fn disabled_by_default_and_record_is_noop() {
-        let _guard = serial();
         assert!(!is_enabled());
         record(TraceEvent::instant("lost", "t", 0));
         assert!(recorder().is_none());
@@ -176,7 +167,6 @@ mod tests {
 
     #[test]
     fn scoped_trace_captures_and_restores() {
-        let _guard = serial();
         {
             let scope = ScopedTrace::install(16);
             assert!(is_enabled());
@@ -192,7 +182,6 @@ mod tests {
 
     #[test]
     fn nested_scopes_restore_in_order() {
-        let _guard = serial();
         let outer = ScopedTrace::install(16);
         record(TraceEvent::instant("outer", "t", 0));
         {
@@ -208,14 +197,59 @@ mod tests {
     }
 
     #[test]
-    fn install_uninstall_round_trip() {
-        let _guard = serial();
-        let rec = Arc::new(FlightRecorder::new(8));
-        assert!(install(Arc::clone(&rec)).is_none());
-        assert!(is_enabled());
-        record(TraceEvent::instant("x", "t", 0));
-        let back = uninstall().expect("was installed");
-        assert!(!is_enabled());
-        assert_eq!(back.drain().len(), 1);
+    fn enter_shares_a_recorder_with_another_thread() {
+        let scope = ScopedTrace::install(16);
+        let shared = Arc::clone(scope.recorder());
+        std::thread::spawn(move || {
+            assert!(recorder().is_none(), "scopes do not leak across threads");
+            let _entered = ScopedTrace::enter(shared);
+            record(TraceEvent::instant("worker", "t", 0));
+        })
+        .join()
+        .expect("worker");
+        assert_eq!(scope.drain().len(), 1);
+    }
+
+    #[test]
+    fn scopes_on_two_threads_are_isolated() {
+        // Thread 0 installs first and drops first, while thread 1's
+        // scope is still live: neither may see the other's events, and
+        // the first drop must not switch thread 1 off.
+        let barrier = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = (0..2u64)
+            .map(|id| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let emit = |n| {
+                        for ts in 0..n {
+                            record(TraceEvent::instant("iso", "t", ts));
+                        }
+                    };
+                    if id == 1 {
+                        barrier.wait(); // thread 0 installed
+                    }
+                    let scope = ScopedTrace::install(64);
+                    if id == 0 {
+                        barrier.wait();
+                    }
+                    barrier.wait(); // both scopes live
+                    emit(id + 1);
+                    barrier.wait(); // both recorded
+                    if id == 0 {
+                        assert_eq!(scope.drain().len(), 1);
+                        drop(scope);
+                        barrier.wait(); // thread 0's scope is gone
+                        assert!(recorder().is_none());
+                        return;
+                    }
+                    barrier.wait();
+                    emit(10);
+                    assert_eq!(scope.drain().len(), 12);
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
     }
 }
